@@ -12,8 +12,7 @@
 
 #include "datagen/aircraft.h"
 #include "exec/exec_context.h"
-#include "rtree/str_bulk_load.h"
-#include "storage/env.h"
+#include "rtree/mem_rtree3d.h"
 #include "traj/segment_arena.h"
 #include "voting/voting.h"
 
@@ -54,37 +53,17 @@ void BM_VotingNaive(benchmark::State& state) {
 
 void BM_VotingIndexed(benchmark::State& state) {
   const auto store = MakeMod(state.range(0));
-  auto env = hermes::storage::Env::NewMemEnv();
-  auto index = hermes::rtree::BuildSegmentIndex(env.get(), "b.idx", store);
+  const auto arena = hermes::traj::SegmentArena::Build(store);
+  const auto index = hermes::rtree::BuildMemSegmentIndex(arena);
   uint64_t pairs = 0;
   for (auto _ : state) {
     auto result =
-        hermes::voting::ComputeVotingIndexed(store, **index, Params());
+        hermes::voting::ComputeVotingIndexed(arena, store, *index, Params());
     benchmark::DoNotOptimize(result);
     pairs = result->pairs_evaluated;
   }
   state.counters["N"] = static_cast<double>(store.NumTrajectories());
   state.counters["segments"] = static_cast<double>(store.NumSegments());
-  state.counters["pairs"] = static_cast<double>(pairs);
-}
-
-// Multi-threaded indexed voting (identical output, private index handles
-// per worker).
-void BM_VotingParallel(benchmark::State& state) {
-  const auto store = MakeMod(160);
-  auto env = hermes::storage::Env::NewMemEnv();
-  {
-    auto index = hermes::rtree::BuildSegmentIndex(env.get(), "p.idx", store);
-    (void)(*index)->Flush();
-  }
-  uint64_t pairs = 0;
-  for (auto _ : state) {
-    auto result = hermes::voting::ComputeVotingParallel(
-        store, env.get(), "p.idx", Params(), state.range(0));
-    benchmark::DoNotOptimize(result);
-    pairs = result->pairs_evaluated;
-  }
-  state.counters["threads"] = static_cast<double>(state.range(0));
   state.counters["pairs"] = static_cast<double>(pairs);
 }
 
@@ -94,16 +73,15 @@ void BM_VotingParallel(benchmark::State& state) {
 // in the same process; results are bit-identical at every thread count.
 void BM_VotingArenaIndexed(benchmark::State& state) {
   const auto store = MakeMod(320);
-  auto env = hermes::storage::Env::NewMemEnv();
-  auto index = hermes::rtree::BuildSegmentIndex(env.get(), "a.idx", store);
   const auto arena = hermes::traj::SegmentArena::Build(store);
+  const auto index = hermes::rtree::BuildMemSegmentIndex(arena);
 
   // Sequential reference, measured once per process.
   static double seq_ms = 0.0;
   if (seq_ms == 0.0) {
     const auto t0 = std::chrono::steady_clock::now();
     auto ref =
-        hermes::voting::ComputeVotingIndexed(arena, store, **index, Params(),
+        hermes::voting::ComputeVotingIndexed(arena, store, *index, Params(),
                                              nullptr);
     benchmark::DoNotOptimize(ref);
     seq_ms = std::chrono::duration<double, std::milli>(
@@ -116,7 +94,7 @@ void BM_VotingArenaIndexed(benchmark::State& state) {
   size_t iters = 0;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto result = hermes::voting::ComputeVotingIndexed(arena, store, **index,
+    auto result = hermes::voting::ComputeVotingIndexed(arena, store, *index,
                                                        Params(), &ctx);
     benchmark::DoNotOptimize(result);
     iter_ms_sum += std::chrono::duration<double, std::milli>(
@@ -148,11 +126,9 @@ void BM_ArenaBuild(benchmark::State& state) {
 // Index construction cost (amortized setup of the fast path).
 void BM_VotingIndexBuild(benchmark::State& state) {
   const auto store = MakeMod(state.range(0));
-  auto env = hermes::storage::Env::NewMemEnv();
-  int i = 0;
+  const auto arena = hermes::traj::SegmentArena::Build(store);
   for (auto _ : state) {
-    auto index = hermes::rtree::BuildSegmentIndex(
-        env.get(), "b" + std::to_string(i++) + ".idx", store);
+    auto index = hermes::rtree::BuildMemSegmentIndex(arena);
     benchmark::DoNotOptimize(index);
   }
   state.counters["segments"] = static_cast<double>(store.NumSegments());
@@ -164,8 +140,6 @@ BENCHMARK(BM_VotingNaive)->Arg(10)->Arg(20)->Arg(40)->Arg(80)->Arg(160)
     ->Arg(320)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_VotingIndexed)->Arg(10)->Arg(20)->Arg(40)->Arg(80)->Arg(160)
     ->Arg(320)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_VotingParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_VotingArenaIndexed)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ArenaBuild)->Arg(1)->Arg(2)->Arg(4)->Arg(8)

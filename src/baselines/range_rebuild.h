@@ -30,7 +30,9 @@ struct RangeRebuildResult {
 
 /// \brief The alternative the demo compares QuT-Clustering against:
 /// (i) temporal range query over a global segment index, (ii) build a
-/// fresh 3D R-tree on the result, (iii) run S2T-Clustering on it.
+/// fresh 3D R-tree on the result, (iii) run S2T-Clustering on it. Steps
+/// (ii) + (iii) are one `S2TClustering::Run`, whose in-memory index build
+/// is reported as `index_build_us` and excluded from `s2t_us`.
 ///
 /// `global_index` is a pre-built pg3D-Rtree over all of `store`'s segments
 /// (its construction is amortized setup, not part of the per-query cost).

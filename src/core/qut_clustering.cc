@@ -1,22 +1,16 @@
 #include "core/qut_clustering.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <numeric>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "traj/distance.h"
 
 namespace hermes::core {
 
 namespace {
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Union-find over cluster pieces for stitching.
 class DisjointSet {
  public:

@@ -1,10 +1,10 @@
 #include "core/retratree.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
+#include "common/clock.h"
 #include "common/coding.h"
 #include "common/logging.h"
 #include "exec/parallel_for.h"
@@ -19,12 +19,6 @@ constexpr size_t kMaxSamplesPerPiece = 300;
 
 /// Trajectories per chunk of the batch split fan-out.
 constexpr size_t kSplitGrain = 8;
-
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 }  // namespace
 
 std::string EncodeSubTrajectory(const traj::SubTrajectory& st) {

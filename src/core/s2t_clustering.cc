@@ -1,19 +1,11 @@
 #include "core/s2t_clustering.h"
 
-#include <chrono>
+#include <memory>
 
-#include "rtree/str_bulk_load.h"
-#include "storage/env.h"
+#include "common/clock.h"
+#include "rtree/mem_rtree3d.h"
 
 namespace hermes::core {
-
-namespace {
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
 
 void S2TTimings::ExportTo(exec::ExecStats* stats) const {
   stats->RecordPhaseUs("s2t_arena_build", arena_build_us);
@@ -31,53 +23,25 @@ void S2TTimings::ExportTo(exec::ExecStats* stats) const {
 
 StatusOr<S2TResult> S2TClustering::Run(const traj::TrajectoryStore& store,
                                        exec::ExecContext* ctx) const {
-  S2TTimings timings;
+  S2TResult result;
   int64_t t0 = NowUs();
   const traj::SegmentArena arena = traj::SegmentArena::Build(store, ctx);
-  timings.arena_build_us = NowUs() - t0;
+  result.timings.arena_build_us = NowUs() - t0;
 
-  if (!params_.use_index) {
-    return RunPhases(arena, store, nullptr, nullptr, timings, ctx);
+  std::unique_ptr<rtree::MemRTree3D> index;
+  if (params_.use_index) {
+    t0 = NowUs();
+    index = rtree::BuildMemSegmentIndex(arena, /*fill_factor=*/0.9, ctx);
+    result.timings.index_build_us = NowUs() - t0;
   }
-  auto env = storage::Env::NewMemEnv();
-  t0 = NowUs();
-  HERMES_ASSIGN_OR_RETURN(
-      std::unique_ptr<rtree::RTree3D> index,
-      rtree::BuildSegmentIndex(env.get(), "s2t.idx", arena,
-                               /*fill_factor=*/0.9, /*cache_pages=*/512,
-                               ctx));
-  timings.index_build_us = NowUs() - t0;
-  // The freshly bulk-loaded (and flushed) file backs the parallel probe's
-  // per-chunk read handles.
-  const voting::IndexProbeSource probe{env.get(), "s2t.idx",
-                                       /*cache_pages=*/512};
-  return RunPhases(arena, store, index.get(), &probe, timings, ctx);
-}
-
-StatusOr<S2TResult> S2TClustering::RunWithIndex(
-    const traj::TrajectoryStore& store, const rtree::RTree3D& index,
-    exec::ExecContext* ctx) const {
-  S2TTimings timings;
-  const int64_t t0 = NowUs();
-  const traj::SegmentArena arena = traj::SegmentArena::Build(store, ctx);
-  timings.arena_build_us = NowUs() - t0;
-  return RunPhases(arena, store, &index, nullptr, timings, ctx);
-}
-
-StatusOr<S2TResult> S2TClustering::RunPhases(
-    const traj::SegmentArena& arena, const traj::TrajectoryStore& store,
-    const rtree::RTree3D* index, const voting::IndexProbeSource* probe,
-    S2TTimings timings, exec::ExecContext* ctx) const {
-  S2TResult result;
-  result.timings = timings;
 
   // Phase 1a: voting.
-  int64_t t0 = NowUs();
+  t0 = NowUs();
   if (index != nullptr) {
     HERMES_ASSIGN_OR_RETURN(
         result.voting,
         voting::ComputeVotingIndexed(arena, store, *index, params_.voting,
-                                     ctx, probe));
+                                     ctx));
   } else {
     HERMES_ASSIGN_OR_RETURN(
         result.voting,

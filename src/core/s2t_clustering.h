@@ -6,7 +6,6 @@
 #include "clustering/greedy_clustering.h"
 #include "common/statusor.h"
 #include "exec/exec_context.h"
-#include "rtree/rtree3d.h"
 #include "sampling/saco_sampling.h"
 #include "segmentation/nats.h"
 #include "traj/segment_arena.h"
@@ -118,31 +117,15 @@ class S2TClustering {
   /// Runs the full pipeline. A columnar `SegmentArena` is snapshotted
   /// first and shared by index construction and voting (its cost is
   /// reported in `timings.arena_build_us`); when `params.use_index` a
-  /// transient in-memory pg3D-Rtree is STR-built over the arena (reported
-  /// in `timings.index_build_us`). `ctx` parallelizes the arena build,
-  /// the STR sort phases, the voting probe (per-chunk read handles over
-  /// the freshly built index file) and kernel, and both NaTS segmentation
-  /// passes; results are identical at any thread count.
+  /// transient in-memory pg3D-Rtree (`rtree::MemRTree3D`) is STR-built
+  /// over the arena (reported in `timings.index_build_us`). `ctx`
+  /// parallelizes the arena build, the STR sort phases, the voting probe
+  /// (every chunk reads the one immutable tree) and kernel, and both NaTS
+  /// segmentation passes; results are identical at any thread count.
   StatusOr<S2TResult> Run(const traj::TrajectoryStore& store,
                           exec::ExecContext* ctx = nullptr) const;
 
-  /// Runs with a caller-provided segment index (e.g. the ReTraTree's
-  /// per-partition index, or the scenario-2 baseline's freshly built one).
-  /// The probe stays on the calling thread here — a borrowed handle's
-  /// backing file is not known to be re-openable — but every other phase
-  /// still fans out over `ctx`.
-  StatusOr<S2TResult> RunWithIndex(const traj::TrajectoryStore& store,
-                                   const rtree::RTree3D& index,
-                                   exec::ExecContext* ctx = nullptr) const;
-
  private:
-  StatusOr<S2TResult> RunPhases(const traj::SegmentArena& arena,
-                                const traj::TrajectoryStore& store,
-                                const rtree::RTree3D* index,
-                                const voting::IndexProbeSource* probe,
-                                S2TTimings timings,
-                                exec::ExecContext* ctx) const;
-
   S2TParams params_;
 };
 

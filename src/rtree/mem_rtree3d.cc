@@ -35,21 +35,15 @@ std::unique_ptr<MemRTree3D> MemRTree3D::BulkLoad(
       2, static_cast<size_t>(static_cast<double>(MemRTreeNode::kFanout) *
                              fill_factor));
 
-  items = StrOrder(std::move(items), per_node, ctx);
-
   // Pack the leaf level from the STR run, then parent levels bottom-up
-  // until one node remains. Sequential by design: the ordering above is
-  // already thread-count independent, and packing is a linear sweep.
-  struct LevelEntry {
-    geom::Mbb3D box;
-    uint64_t ref;  // Leaf datum at level 0, child ordinal above.
-  };
-  std::vector<LevelEntry> level;
-  level.reserve(items.size());
-  for (const auto& [box, datum] : items) level.push_back({box, datum});
+  // until one node remains. Sequential by design: the ordering is already
+  // thread-count independent, and packing is a linear sweep. A level entry
+  // is (box, leaf datum) at level 0 and (cover, child ordinal) above.
+  std::vector<std::pair<geom::Mbb3D, uint64_t>> level =
+      StrOrder(std::move(items), per_node, ctx);
 
   bool is_leaf = true;
-  std::vector<LevelEntry> next;
+  std::vector<std::pair<geom::Mbb3D, uint64_t>> next;
   while (true) {
     next.clear();
     next.reserve((level.size() + per_node - 1) / per_node);
@@ -61,15 +55,15 @@ std::unique_ptr<MemRTree3D> MemRTree3D::BulkLoad(
       node->count = static_cast<uint16_t>(end - i);
       geom::Mbb3D cover;
       for (size_t j = i; j < end; ++j) {
-        node->bounds[j - i] = level[j].box;
-        node->child[j - i] = level[j].ref;
-        cover.Extend(level[j].box);
+        node->bounds[j - i] = level[j].first;
+        node->child[j - i] = level[j].second;
+        cover.Extend(level[j].first);
       }
       next.push_back({cover, ordinal});
     }
     ++tree->height_;
     if (next.size() == 1) {
-      tree->root_ = next[0].ref;
+      tree->root_ = next[0].second;
       break;
     }
     level.swap(next);

@@ -36,9 +36,10 @@ StatusOr<std::unique_ptr<RTree3D>> BuildSegmentIndex(
   auto items = CollectSegments(arena, ctx);
   items = StrOrder(std::move(items), LeafCapacity(fill_factor), ctx);
   HERMES_RETURN_NOT_OK(index->BulkLoad(items, fill_factor));
-  // Write the finished tree through to the file: the parallel voting
-  // probe opens additional read-only handles over it, which must not see
-  // pages still sitting dirty in this handle's buffer pool.
+  // Write the finished tree through to the file, so the file alone holds
+  // the complete index: another handle opened over it (or a reopen after
+  // this handle is dropped) must not miss pages still sitting dirty in
+  // this handle's buffer pool.
   HERMES_RETURN_NOT_OK(index->Flush());
   return index;
 }

@@ -24,9 +24,9 @@ inline traj::SegmentRef UnpackSegmentRef(uint64_t datum) {
 }
 
 /// \brief Builds a segment-level pg3D-Rtree over a columnar arena snapshot
-/// using STR bulk loading (the fast index-construction path used when the
-/// scenario-2 baseline re-indexes a range-query result). Item collection
-/// and the STR sort phases fan out over `ctx`.
+/// using STR bulk loading (e.g. the caller-owned global index the
+/// scenario-2 baseline range-queries). Item collection and the STR sort
+/// phases fan out over `ctx`.
 StatusOr<std::unique_ptr<RTree3D>> BuildSegmentIndex(
     storage::Env* env, const std::string& fname,
     const traj::SegmentArena& arena, double fill_factor = 0.9,

@@ -1,24 +1,16 @@
 #include "segmentation/nats.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <functional>
 #include <limits>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "common/mathutil.h"
 #include "exec/parallel_for.h"
 
 namespace hermes::segmentation {
-
-namespace {
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
 
 double EffectiveLambda(const std::vector<double>& votes,
                        const NatsParams& params) {

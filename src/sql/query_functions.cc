@@ -2,27 +2,17 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <map>
 #include <utility>
 
 #include "baselines/convoys.h"
 #include "baselines/toptics.h"
 #include "baselines/traclus.h"
+#include "common/clock.h"
 #include "core/qut_clustering.h"
 #include "core/s2t_clustering.h"
 
 namespace hermes::sql {
-
-namespace {
-
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 std::shared_ptr<const traj::TrajectoryStore> BorrowStore(
     const traj::TrajectoryStore* store) {

@@ -1,19 +1,10 @@
 #include "traj/segment_arena.h"
 
-#include <chrono>
-
+#include "common/clock.h"
 #include "common/logging.h"
 #include "traj/trajectory_store.h"
 
 namespace hermes::traj {
-
-namespace {
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
 
 const std::vector<size_t>& SegmentArena::offsets() const {
   static const std::vector<size_t> kEmpty;

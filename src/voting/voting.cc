@@ -1,9 +1,9 @@
 #include "voting/voting.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "common/mathutil.h"
 #include "exec/parallel_for.h"
@@ -24,12 +24,6 @@ double VotingResult::MeanVoting(traj::TrajectoryId tid) const {
 }
 
 namespace {
-
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Average synchronized distance between the moving point of `seg` and
 /// trajectory `other`, over the overlap of their lifespans; +inf when the
@@ -111,108 +105,54 @@ void RunVoteKernel(const traj::SegmentArena& arena,
   }
 }
 
-/// Candidates of arena row `r`, against index handle `index`: owners of
-/// every segment intersecting the row's MBB expanded by the kernel
-/// truncation radius, minus the row's own trajectory, sorted +
-/// deduplicated. This per-row list is a pure function of (index file,
-/// row), which is what lets the parallel probe stitch per-chunk output
-/// back together bit-identically.
-Status ProbeRow(const traj::SegmentArena& arena, const rtree::RTree3D& index,
-                double radius, size_t r, std::vector<uint64_t>* hits,
-                std::vector<traj::TrajectoryId>* candidates) {
-  const traj::TrajectoryId tid = arena.owner(r);
-  const geom::Mbb3D query = arena.BoundsOf(r).Expanded(radius, 0.0);
-  HERMES_RETURN_NOT_OK(
-      index.SearchInto(query, rtree::QueryMode::kIntersects, hits));
-  candidates->clear();
-  for (uint64_t datum : *hits) {
-    const traj::SegmentRef ref = rtree::UnpackSegmentRef(datum);
-    if (ref.trajectory != tid) candidates->push_back(ref.trajectory);
-  }
-  std::sort(candidates->begin(), candidates->end());
-  candidates->erase(std::unique(candidates->begin(), candidates->end()),
-                    candidates->end());
-  return Status::OK();
-}
+/// Arena rows per probe chunk. Chunk boundaries depend only on the row
+/// count, never on the thread count (see `exec::ChunkBounds`).
+constexpr size_t kProbeGrain = 256;
 
-/// The probe phase: per-segment candidate lists in CSR form. Fans out over
-/// `ctx` when `probe` names the index's backing file — each chunk opens a
-/// private read-only handle (buffer pools are not thread-safe, files are)
-/// — and falls back to a sequential sweep over the caller's `index`
-/// handle otherwise.
-StatusOr<CandidateLists> ProbeCandidates(const traj::SegmentArena& arena,
-                                         const rtree::RTree3D& index,
-                                         const VotingParams& params,
-                                         exec::ExecContext* ctx,
-                                         const IndexProbeSource* probe) {
+/// The probe phase: per-segment candidate lists in CSR form. Candidates
+/// of row r are the owners of every segment intersecting r's MBB expanded
+/// by the kernel truncation radius, minus r's own trajectory, sorted +
+/// deduplicated — a pure function of (index, row). Chunks probe the one
+/// shared tree concurrently and append to chunk-private lists; chunks
+/// cover ascending, disjoint row ranges, so concatenating the lists in
+/// chunk order reproduces the sequential layout exactly.
+CandidateLists ProbeCandidates(const traj::SegmentArena& arena,
+                               const rtree::MemRTree3D& index,
+                               const VotingParams& params,
+                               exec::ExecContext* ctx) {
   const size_t rows = arena.num_segments();
   const double radius = params.cutoff_sigmas * params.sigma;
-  CandidateLists cands;
-  cands.offsets.assign(rows + 1, 0);
-
-  const size_t threads = ctx != nullptr ? ctx->threads() : 1;
-  const bool parallel = threads > 1 && rows > 1 && probe != nullptr &&
-                        probe->env != nullptr;
-  if (!parallel) {
-    std::vector<uint64_t> hits;  // Reused across segments.
-    std::vector<traj::TrajectoryId> candidates;
-    for (size_t r = 0; r < rows; ++r) {
-      HERMES_RETURN_NOT_OK(
-          ProbeRow(arena, index, radius, r, &hits, &candidates));
-      cands.tids.insert(cands.tids.end(), candidates.begin(),
-                        candidates.end());
-      cands.offsets[r + 1] = cands.tids.size();
-    }
-    return cands;
-  }
-
-  // One chunk (and one private handle) per thread; the handles are opened
-  // up front on the calling thread, so the fan-out body does pure reads.
-  const size_t grain = (rows + threads - 1) / threads;
-  const size_t chunks = exec::NumChunks(rows, grain);
-  std::vector<std::unique_ptr<rtree::RTree3D>> handles(chunks);
-  for (auto& handle : handles) {
-    HERMES_ASSIGN_OR_RETURN(
-        handle,
-        rtree::RTree3D::Open(probe->env, probe->fname, probe->cache_pages));
-  }
-  std::vector<std::vector<traj::TrajectoryId>> chunk_tids(chunks);
-  std::vector<Status> chunk_status(chunks, Status::OK());
   std::vector<uint32_t> row_counts(rows, 0);
-  exec::ParallelFor(ctx, rows, grain,
+  std::vector<std::vector<traj::TrajectoryId>> chunk_tids(
+      exec::NumChunks(rows, kProbeGrain));
+  exec::ParallelFor(ctx, rows, kProbeGrain,
                     [&](size_t begin, size_t end, size_t chunk) {
-    const rtree::RTree3D& handle = *handles[chunk];
-    std::vector<uint64_t> hits;
-    std::vector<traj::TrajectoryId> candidates;
+    std::vector<uint64_t> hits;  // Reused across the chunk's rows.
+    std::vector<traj::TrajectoryId>& tids = chunk_tids[chunk];
     for (size_t r = begin; r < end; ++r) {
-      const Status st =
-          ProbeRow(arena, handle, radius, r, &hits, &candidates);
-      if (!st.ok()) {
-        chunk_status[chunk] = st;
-        return;
+      const traj::TrajectoryId tid = arena.owner(r);
+      index.SearchInto(arena.BoundsOf(r).Expanded(radius, 0.0),
+                       rtree::QueryMode::kIntersects, &hits);
+      const size_t first = tids.size();
+      for (uint64_t datum : hits) {
+        const traj::TrajectoryId other =
+            rtree::UnpackSegmentRef(datum).trajectory;
+        if (other != tid) tids.push_back(other);
       }
-      row_counts[r] = static_cast<uint32_t>(candidates.size());
-      chunk_tids[chunk].insert(chunk_tids[chunk].end(), candidates.begin(),
-                               candidates.end());
+      std::sort(tids.begin() + first, tids.end());
+      tids.erase(std::unique(tids.begin() + first, tids.end()), tids.end());
+      row_counts[r] = static_cast<uint32_t>(tids.size() - first);
     }
   });
-  for (const Status& st : chunk_status) {
-    HERMES_RETURN_NOT_OK(st);
-  }
 
-  // Stitch the CSR back together in row order. Chunks cover ascending,
-  // disjoint row ranges, so concatenating per-chunk lists in chunk order
-  // reproduces the sequential layout exactly.
+  CandidateLists cands;
+  cands.offsets.assign(rows + 1, 0);
   for (size_t r = 0; r < rows; ++r) {
     cands.offsets[r + 1] = cands.offsets[r] + row_counts[r];
   }
   cands.tids.reserve(cands.offsets[rows]);
   for (const auto& tids : chunk_tids) {
     cands.tids.insert(cands.tids.end(), tids.begin(), tids.end());
-  }
-  if (ctx != nullptr) {
-    ctx->stats().AddCounter("voting_probe_handles",
-                            static_cast<int64_t>(chunks));
   }
   return cands;
 }
@@ -289,11 +229,14 @@ StatusOr<VotingResult> ComputeVotingNaive(const traj::SegmentArena& arena,
 
 StatusOr<VotingResult> ComputeVotingIndexed(const traj::SegmentArena& arena,
                                             const traj::TrajectoryStore& store,
-                                            const rtree::RTree3D& index,
+                                            const rtree::MemRTree3D& index,
                                             const VotingParams& params,
-                                            exec::ExecContext* ctx,
-                                            const IndexProbeSource* probe) {
+                                            exec::ExecContext* ctx) {
   HERMES_RETURN_NOT_OK(ValidateVotingInputs(arena, store, params));
+  if (index.num_entries() != arena.num_segments()) {
+    return Status::InvalidArgument(
+        "segment index is stale: entry count differs from arena");
+  }
   VotingResult result;
   SizeResult(store, &result);
 
@@ -301,9 +244,7 @@ StatusOr<VotingResult> ComputeVotingIndexed(const traj::SegmentArena& arena,
   // radius, exact lifespan in time. Any trajectory that could cast a
   // non-zero vote has at least one segment intersecting the box.
   const int64_t probe_start = NowUs();
-  HERMES_ASSIGN_OR_RETURN(
-      const CandidateLists cands,
-      ProbeCandidates(arena, index, params, ctx, probe));
+  const CandidateLists cands = ProbeCandidates(arena, index, params, ctx);
   result.pairs_evaluated = cands.tids.size();
   result.probe_us = NowUs() - probe_start;
   if (ctx != nullptr) {
@@ -323,44 +264,12 @@ StatusOr<VotingResult> ComputeVotingNaive(const traj::TrajectoryStore& store,
   return ComputeVotingNaive(arena, store, params, nullptr);
 }
 
-StatusOr<VotingResult> ComputeVotingIndexed(const traj::TrajectoryStore& store,
-                                            const rtree::RTree3D& index,
-                                            const VotingParams& params) {
-  if (params.sigma <= 0.0) {
-    return Status::InvalidArgument("sigma must be positive");
-  }
-  const traj::SegmentArena arena = traj::SegmentArena::Build(store);
-  return ComputeVotingIndexed(arena, store, index, params, nullptr);
-}
-
-StatusOr<VotingResult> ComputeVotingParallel(
-    const traj::TrajectoryStore& store, storage::Env* env,
-    const std::string& index_file, const VotingParams& params,
-    size_t num_threads) {
-  if (params.sigma <= 0.0) {
-    return Status::InvalidArgument("sigma must be positive");
-  }
-  if (num_threads == 0) {
-    return Status::InvalidArgument("need at least one thread");
-  }
-  if (!env->FileExists(index_file)) {
-    return Status::NotFound("no index file " + index_file);
-  }
-  HERMES_ASSIGN_OR_RETURN(std::unique_ptr<rtree::RTree3D> index,
-                          rtree::RTree3D::Open(env, index_file));
-  exec::ExecContext ctx(num_threads);
-  const traj::SegmentArena arena = traj::SegmentArena::Build(store, &ctx);
-  const IndexProbeSource probe{env, index_file, /*cache_pages=*/256};
-  return ComputeVotingIndexed(arena, store, *index, params, &ctx, &probe);
-}
-
 StatusOr<VotingResult> ComputeVoting(const traj::TrajectoryStore& store,
                                      const VotingParams& params) {
-  auto env = storage::Env::NewMemEnv();
-  HERMES_ASSIGN_OR_RETURN(
-      std::unique_ptr<rtree::RTree3D> index,
-      rtree::BuildSegmentIndex(env.get(), "voting.idx", store));
-  return ComputeVotingIndexed(store, *index, params);
+  const traj::SegmentArena arena = traj::SegmentArena::Build(store);
+  const std::unique_ptr<rtree::MemRTree3D> index =
+      rtree::BuildMemSegmentIndex(arena);
+  return ComputeVotingIndexed(arena, store, *index, params, nullptr);
 }
 
 }  // namespace hermes::voting

@@ -1,14 +1,12 @@
 #ifndef HERMES_VOTING_VOTING_H_
 #define HERMES_VOTING_VOTING_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
 #include "common/statusor.h"
 #include "exec/exec_context.h"
-#include "rtree/rtree3d.h"
-#include "storage/env.h"
+#include "rtree/mem_rtree3d.h"
 #include "traj/segment_arena.h"
 #include "traj/trajectory_store.h"
 
@@ -49,18 +47,6 @@ struct VotingResult {
   double MeanVoting(traj::TrajectoryId tid) const;
 };
 
-/// \brief Where the probe phase can open additional read-only pg3D-Rtree
-/// handles over the index being probed (the `ComputeVotingParallel`
-/// trick): each `ParallelFor` chunk gets a private handle — and with it a
-/// private, non-thread-safe buffer pool — over the shared immutable index
-/// file. The file must hold the complete index (builders flush after bulk
-/// load) and must not be written while voting runs.
-struct IndexProbeSource {
-  storage::Env* env = nullptr;
-  std::string fname;
-  size_t cache_pages = 256;
-};
-
 /// \brief Computes voting descriptors for every trajectory in the MOD.
 ///
 /// Two engines with identical output:
@@ -68,7 +54,10 @@ struct IndexProbeSource {
 ///    every segment is compared against every other trajectory, O(S·N).
 ///  - `ComputeVotingIndexed` — the in-DBMS fast path: a pg3D-Rtree range
 ///    query (segment MBB expanded by the kernel truncation radius) prunes
-///    the candidate set first.
+///    the candidate set first. The index is one immutable in-memory
+///    `rtree::MemRTree3D` over the same arena (see
+///    `rtree::BuildMemSegmentIndex`); an index whose entry count differs
+///    from the arena's segment count is rejected as stale.
 ///
 /// Both consume a columnar `SegmentArena` snapshot and an optional
 /// `ExecContext`. The vote kernel is partitioned by trajectory: every
@@ -76,14 +65,12 @@ struct IndexProbeSource {
 /// per-segment, per-candidate accumulation order as the sequential engine,
 /// so the result is bit-for-bit identical at any thread count.
 ///
-/// The indexed engine's probe phase fans out too when `probe` names the
-/// index's backing file: each chunk probes through its own read-only
-/// handle, and per-segment candidate lists (sorted + deduplicated per
-/// segment, exactly as in the sequential sweep) are stitched back in
-/// segment order — so the CSR candidate structure, and with it the votes,
-/// stay bit-identical at any thread count. Without a `probe` source the
-/// probe stays on the calling thread (the caller's handle owns a
-/// non-thread-safe buffer pool).
+/// The indexed engine's probe phase fans out too: every chunk probes the
+/// one shared tree concurrently (`MemRTree3D::SearchInto` is const and
+/// lock-free), and per-segment candidate lists (sorted + deduplicated per
+/// segment) are stitched back in segment order — so the CSR candidate
+/// structure, and with it the votes, stay bit-identical at any thread
+/// count.
 StatusOr<VotingResult> ComputeVotingNaive(const traj::SegmentArena& arena,
                                           const traj::TrajectoryStore& store,
                                           const VotingParams& params,
@@ -91,36 +78,19 @@ StatusOr<VotingResult> ComputeVotingNaive(const traj::SegmentArena& arena,
 
 StatusOr<VotingResult> ComputeVotingIndexed(const traj::SegmentArena& arena,
                                             const traj::TrajectoryStore& store,
-                                            const rtree::RTree3D& index,
+                                            const rtree::MemRTree3D& index,
                                             const VotingParams& params,
-                                            exec::ExecContext* ctx = nullptr,
-                                            const IndexProbeSource* probe =
-                                                nullptr);
+                                            exec::ExecContext* ctx = nullptr);
 
-/// Store-walking convenience overloads: snapshot an arena, then run the
-/// arena engine sequentially (the pre-arena API surface).
+/// Store-walking convenience: snapshot an arena, then run the naive arena
+/// engine sequentially (the pre-arena API surface).
 StatusOr<VotingResult> ComputeVotingNaive(const traj::TrajectoryStore& store,
                                           const VotingParams& params);
 
-StatusOr<VotingResult> ComputeVotingIndexed(const traj::TrajectoryStore& store,
-                                            const rtree::RTree3D& index,
-                                            const VotingParams& params);
-
-/// Convenience: builds a temporary in-memory segment index, then runs the
-/// indexed engine.
+/// Convenience: snapshots an arena and builds a temporary segment index
+/// over it, then runs the indexed engine sequentially.
 StatusOr<VotingResult> ComputeVoting(const traj::TrajectoryStore& store,
                                      const VotingParams& params);
-
-/// \brief Multi-threaded indexed voting over a persisted index.
-/// `index_file` must name an existing segment index under `env` (e.g.
-/// built by `rtree::BuildSegmentIndex`). Both phases fan out over
-/// `num_threads`: the probe through per-chunk read handles on
-/// `index_file`, the vote kernel over trajectory chunks. Output is
-/// identical to the single-threaded engines.
-StatusOr<VotingResult> ComputeVotingParallel(
-    const traj::TrajectoryStore& store, storage::Env* env,
-    const std::string& index_file, const VotingParams& params,
-    size_t num_threads);
 
 /// \brief Vote cast by trajectory `other` for segment `seg`: the truncated
 /// Gaussian kernel of their time-synchronized average distance during the

@@ -5,8 +5,6 @@
 #include "core/s2t_clustering.h"
 #include "traj/distance.h"
 #include "datagen/noise.h"
-#include "rtree/str_bulk_load.h"
-#include "storage/env.h"
 
 namespace hermes::core {
 namespace {
@@ -95,19 +93,6 @@ TEST(S2TTest, IndexedAndNaivePathsAgree) {
   EXPECT_EQ(a->NumClusters(), b->NumClusters());
   EXPECT_EQ(a->NumOutliers(), b->NumOutliers());
   EXPECT_EQ(a->sub_trajectories.size(), b->sub_trajectories.size());
-}
-
-TEST(S2TTest, RunWithExternalIndex) {
-  traj::TrajectoryStore store = datagen::MakeParallelLanes(
-      2, 3, 400.0, 500.0, 10.0, 10.0, /*seed=*/3, /*jitter=*/1.0);
-  auto env = storage::Env::NewMemEnv();
-  auto index = rtree::BuildSegmentIndex(env.get(), "ext.idx", store);
-  ASSERT_TRUE(index.ok());
-  S2TClustering s2t(LaneParams());
-  auto result = s2t.RunWithIndex(store, **index);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GE(result->NumClusters(), 2u);
-  EXPECT_EQ(result->timings.index_build_us, 0);  // Build not charged here.
 }
 
 TEST(S2TTest, TimingsArePopulated) {

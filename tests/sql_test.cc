@@ -795,7 +795,7 @@ TEST_F(SqlSessionTest, ShowStatsAccumulatesTypedTimings) {
 TEST_F(SqlSessionTest, ThreadsSettingMidSessionKeepsS2TBitIdentical) {
   // `SET hermes.threads` must take effect mid-session without changing a
   // single output bit: the member listing of a 4-thread run — every
-  // parallel phase engaged (probe handles, vote kernel, NaTS two-pass) —
+  // parallel phase engaged (voting probe, vote kernel, NaTS two-pass) —
   // equals the 1-thread run row for row.
   traj::TrajectoryStore lanes = datagen::MakeParallelLanes(
       2, 5, 2000.0, 800.0, 10.0, 10.0, /*seed=*/9, /*jitter=*/1.0);

@@ -1,6 +1,6 @@
 // Naive-vs-indexed voting parity across the three synthetic movement
-// domains (aircraft terminal area, maritime lanes, urban grid), at 1 and 4
-// threads: the in-DBMS fast path must be a pure optimization — identical
+// domains (aircraft terminal area, maritime lanes, urban grid), at 1, 4 and
+// 7 threads: the in-DBMS fast path must be a pure optimization — identical
 // `VotingResult`s, and bit-for-bit reproducibility at any thread count.
 
 #include <gtest/gtest.h>
@@ -9,8 +9,7 @@
 #include "datagen/maritime.h"
 #include "datagen/urban.h"
 #include "exec/exec_context.h"
-#include "rtree/str_bulk_load.h"
-#include "storage/env.h"
+#include "rtree/mem_rtree3d.h"
 #include "traj/segment_arena.h"
 #include "voting/voting.h"
 
@@ -82,29 +81,30 @@ TEST(VotingParityTest, NaiveAndIndexedAgreeAcrossScenariosAndThreads) {
     SCOPED_TRACE(sc.name);
     ASSERT_GT(sc.store.NumSegments(), 0u);
 
-    auto env = storage::Env::NewMemEnv();
-    auto index = rtree::BuildSegmentIndex(env.get(), "parity.idx", sc.store);
-    ASSERT_TRUE(index.ok());
     const traj::SegmentArena arena = traj::SegmentArena::Build(sc.store);
+    const auto index = rtree::BuildMemSegmentIndex(arena);
 
     exec::ExecContext one(1);
-    exec::ExecContext four(4);
-
     auto naive1 = ComputeVotingNaive(arena, sc.store, sc.params, &one);
-    auto naive4 = ComputeVotingNaive(arena, sc.store, sc.params, &four);
     auto indexed1 =
-        ComputeVotingIndexed(arena, sc.store, **index, sc.params, &one);
-    auto indexed4 =
-        ComputeVotingIndexed(arena, sc.store, **index, sc.params, &four);
+        ComputeVotingIndexed(arena, sc.store, *index, sc.params, &one);
     ASSERT_TRUE(naive1.ok());
-    ASSERT_TRUE(naive4.ok());
     ASSERT_TRUE(indexed1.ok());
-    ASSERT_TRUE(indexed4.ok());
 
     // Thread-count invariance is bit-exact by construction (each
-    // trajectory's votes come from one chunk with sequential order).
-    ExpectBitIdentical(*naive1, *naive4, "naive 1 vs 4 threads");
-    ExpectBitIdentical(*indexed1, *indexed4, "indexed 1 vs 4 threads");
+    // trajectory's votes come from one chunk with sequential order). The
+    // odd count leaves uneven chunk claims across the pool.
+    for (size_t threads : {4u, 7u}) {
+      exec::ExecContext ctx(threads);
+      auto naive = ComputeVotingNaive(arena, sc.store, sc.params, &ctx);
+      auto indexed =
+          ComputeVotingIndexed(arena, sc.store, *index, sc.params, &ctx);
+      ASSERT_TRUE(naive.ok());
+      ASSERT_TRUE(indexed.ok());
+      const std::string vs = " 1 vs " + std::to_string(threads) + " threads";
+      ExpectBitIdentical(*naive1, *naive, "naive" + vs);
+      ExpectBitIdentical(*indexed1, *indexed, "indexed" + vs);
+    }
 
     // Engine parity: the pruned candidate set must not lose any voter
     // (pairs differ — that is the point of the index — but votes match;

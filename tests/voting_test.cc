@@ -4,8 +4,8 @@
 
 #include "common/mathutil.h"
 #include "datagen/noise.h"
-#include "rtree/str_bulk_load.h"
-#include "storage/env.h"
+#include "rtree/mem_rtree3d.h"
+#include "traj/segment_arena.h"
 #include "voting/voting.h"
 
 namespace hermes::voting {
@@ -90,10 +90,9 @@ TEST_F(VotingTest, IndexedMatchesNaiveExactly) {
   auto naive = ComputeVotingNaive(store, params_);
   ASSERT_TRUE(naive.ok());
 
-  auto env = storage::Env::NewMemEnv();
-  auto index = rtree::BuildSegmentIndex(env.get(), "v.idx", store);
-  ASSERT_TRUE(index.ok());
-  auto indexed = ComputeVotingIndexed(store, **index, params_);
+  const traj::SegmentArena arena = traj::SegmentArena::Build(store);
+  auto index = rtree::BuildMemSegmentIndex(arena);
+  auto indexed = ComputeVotingIndexed(arena, store, *index, params_);
   ASSERT_TRUE(indexed.ok());
 
   ASSERT_EQ(naive->votes.size(), indexed->votes.size());
@@ -112,10 +111,9 @@ TEST_F(VotingTest, IndexPrunesCandidatePairs) {
       8, 2, 5000.0, 800.0, 10.0, 10.0, /*seed=*/9, /*jitter=*/1.0);
   auto naive = ComputeVotingNaive(store, params_);
   ASSERT_TRUE(naive.ok());
-  auto env = storage::Env::NewMemEnv();
-  auto index = rtree::BuildSegmentIndex(env.get(), "p.idx", store);
-  ASSERT_TRUE(index.ok());
-  auto indexed = ComputeVotingIndexed(store, **index, params_);
+  const traj::SegmentArena arena = traj::SegmentArena::Build(store);
+  auto index = rtree::BuildMemSegmentIndex(arena);
+  auto indexed = ComputeVotingIndexed(arena, store, *index, params_);
   ASSERT_TRUE(indexed.ok());
   EXPECT_LT(indexed->pairs_evaluated, naive->pairs_evaluated / 4);
 }
@@ -135,11 +133,25 @@ TEST_F(VotingTest, RejectsNonPositiveSigma) {
   VotingParams bad = params_;
   bad.sigma = 0.0;
   EXPECT_TRUE(ComputeVotingNaive(store, bad).status().IsInvalidArgument());
-  auto env = storage::Env::NewMemEnv();
-  auto index = rtree::BuildSegmentIndex(env.get(), "bad.idx", store);
-  ASSERT_TRUE(index.ok());
-  EXPECT_TRUE(
-      ComputeVotingIndexed(store, **index, bad).status().IsInvalidArgument());
+  const traj::SegmentArena arena = traj::SegmentArena::Build(store);
+  auto index = rtree::BuildMemSegmentIndex(arena);
+  EXPECT_TRUE(ComputeVotingIndexed(arena, store, *index, bad)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST_F(VotingTest, StaleIndexIsRejected) {
+  // An index over a larger MOD names segments this store does not have:
+  // probing it must fail cleanly instead of dereferencing them.
+  const traj::TrajectoryStore big = datagen::MakeParallelLanes(
+      6, 2, 60.0, 400.0, 10.0, 10.0, /*seed=*/5, /*jitter=*/1.0);
+  const traj::TrajectoryStore store = datagen::MakeParallelLanes(
+      2, 2, 60.0, 400.0, 10.0, 10.0, /*seed=*/5, /*jitter=*/1.0);
+  auto index = rtree::BuildMemSegmentIndex(traj::SegmentArena::Build(big));
+  const traj::SegmentArena arena = traj::SegmentArena::Build(store);
+  EXPECT_TRUE(ComputeVotingIndexed(arena, store, *index, params_)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST_F(VotingTest, VoteForRespectsOverlapRatio) {
@@ -167,46 +179,6 @@ TEST_F(VotingTest, MeanAndTotalVotingConsistent) {
     EXPECT_NEAR(total,
                 mean * static_cast<double>(result->votes[tid].size()), 1e-9);
   }
-}
-
-TEST_F(VotingTest, ParallelMatchesSerialExactly) {
-  traj::TrajectoryStore store = datagen::MakeParallelLanes(
-      4, 3, 60.0, 800.0, 10.0, 10.0, /*seed=*/5, /*jitter=*/3.0);
-  auto env = storage::Env::NewMemEnv();
-  auto index = rtree::BuildSegmentIndex(env.get(), "par.idx", store);
-  ASSERT_TRUE(index.ok());
-  ASSERT_TRUE((*index)->Flush().ok());
-  auto serial = ComputeVotingIndexed(store, **index, params_);
-  ASSERT_TRUE(serial.ok());
-
-  for (size_t threads : {1u, 2u, 4u, 7u}) {
-    auto parallel =
-        ComputeVotingParallel(store, env.get(), "par.idx", params_, threads);
-    ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
-    ASSERT_EQ(parallel->votes.size(), serial->votes.size());
-    for (size_t tid = 0; tid < serial->votes.size(); ++tid) {
-      for (size_t i = 0; i < serial->votes[tid].size(); ++i) {
-        EXPECT_NEAR(parallel->votes[tid][i], serial->votes[tid][i], 1e-12);
-      }
-    }
-    EXPECT_EQ(parallel->pairs_evaluated, serial->pairs_evaluated);
-  }
-}
-
-TEST_F(VotingTest, ParallelValidatesArguments) {
-  traj::TrajectoryStore store = datagen::MakeParallelLanes(
-      2, 2, 60.0, 400.0, 10.0, 10.0, /*seed=*/5, /*jitter=*/1.0);
-  auto env = storage::Env::NewMemEnv();
-  EXPECT_TRUE(ComputeVotingParallel(store, env.get(), "missing.idx", params_,
-                                    2)
-                  .status()
-                  .IsNotFound());
-  auto index = rtree::BuildSegmentIndex(env.get(), "ok.idx", store);
-  ASSERT_TRUE(index.ok());
-  ASSERT_TRUE((*index)->Flush().ok());
-  EXPECT_TRUE(ComputeVotingParallel(store, env.get(), "ok.idx", params_, 0)
-                  .status()
-                  .IsInvalidArgument());
 }
 
 // Sigma sweep: larger bandwidth -> strictly more voting mass.
