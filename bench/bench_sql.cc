@@ -22,14 +22,14 @@ using namespace hermes;
 // `sql::StatementExecutor` — what the bench measures is the statement
 // API any backend (embedded, service, shard coordinator, remote) pays.
 sql::StatementExecutor& SharedExecutor() {
-  static auto* executor = [] {
+  static auto* session = [] {
     auto* s = new sql::Session();
     traj::TrajectoryStore lanes = datagen::MakeParallelLanes(
         4, 64, 2000.0, 800.0, 10.0, 10.0, /*seed=*/17, /*jitter=*/1.0);
     (void)s->RegisterStore("lanes", std::move(lanes));
-    return sql::MakeSessionExecutor(s).release();
+    return s;
   }();
-  return *executor;
+  return *session;
 }
 
 void BM_SqlExecuteRange(benchmark::State& state) {

@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
   // Every statement below travels the backend-neutral
   // `sql::StatementExecutor` API — the same calls would drive a service
   // session, a shard coordinator, or a remote `net::Client`.
-  std::unique_ptr<sql::StatementExecutor> db =
-      sql::MakeSessionExecutor(&session);
+  sql::StatementExecutor* db = &session;
   int failures = 0;
 
   // Preload a maritime MOD so QUT/S2T have something realistic to chew on.

@@ -22,7 +22,7 @@ namespace hermes::net {
 ///
 /// A `kError` response surfaces as a non-OK Status carrying the server's
 /// code and message — so a socket client observes exactly what an
-/// in-process `ClientSession` caller would (same code, same message).
+/// in-process service session's caller would (same code, same message).
 ///
 /// Not thread-safe: one Client per thread, like the session it fronts.
 class Client {

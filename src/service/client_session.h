@@ -2,103 +2,40 @@
 #define HERMES_SERVICE_CLIENT_SESSION_H_
 
 #include <memory>
-#include <string>
-#include <vector>
 
-#include "common/statusor.h"
-#include "exec/exec_context.h"
 #include "service/server.h"
-#include "sql/cursor.h"
-#include "sql/parser.h"
-#include "sql/query_functions.h"
-#include "sql/settings.h"
+#include "sql/executor.h"
 #include "sql/statement_executor.h"
-#include "sql/value.h"
 
 namespace hermes::service {
 
-/// \brief One client's view of the service: the embedded `sql::Session`
-/// dialect executed against the server's *shared* catalog.
-///
-/// Differences from the embedded session, by design:
-///
-///  - MODs are shared across sessions; DDL is visible to everyone.
-///  - `SELECT`s run against the MOD's *published snapshot*: immutable,
-///    never blocking on — or blocked by — the ingest worker. Streaming
-///    cursors keep their snapshot (and its pinned arena epoch) alive even
-///    while newer epochs are published, so a cursor is never invalidated
-///    by concurrent ingest.
-///  - `INSERT INTO` enqueues onto the server's MPSC ingest queue and acks
-///    with the queued count; `FLUSH` blocks until everything previously
-///    queued is applied and query-visible.
-///  - `SET`/`SHOW` operate on this session's own settings registry
-///    (seeded from the server defaults); `hermes.threads` swaps only this
-///    session's `ExecContext`. Two sessions with different settings never
-///    interfere.
-///  - `SHOW SERVICE STATS` reports the server's service counters.
-///
-/// Thread safety: one ClientSession serves one client thread (like a
-/// PostgreSQL backend); different sessions run fully concurrently. The
-/// server must outlive the session and every cursor it returned.
-class ClientSession {
- public:
-  ~ClientSession();
+// A client session (`Server::Connect`) is a `sql::Session` over the
+// server's *shared* catalog. It differs from the embedded session, by
+// design, in what its backend does:
+//
+//  - MODs are shared across sessions; DDL is visible to everyone.
+//  - `SELECT`s run against the MOD's *published snapshot*: immutable,
+//    never blocking on — or blocked by — the ingest worker. Streaming
+//    cursors keep their snapshot (and its pinned arena epoch) alive even
+//    while newer epochs are published, so a cursor is never invalidated
+//    by concurrent ingest.
+//  - `INSERT INTO` enqueues onto the server's MPSC ingest queue and acks
+//    with the queued count and a ticket; `FLUSH` blocks until everything
+//    previously queued is applied and query-visible.
+//  - `QUT` runs over the MOD's shared tree, on the server's context.
+//  - `CHECKPOINT` and `SHOW SERVICE STATS` reach the server.
+//
+// `SET`/`SHOW` operate on the session's own settings registry (seeded
+// from the server defaults); `hermes.threads` swaps only this session's
+// `ExecContext`. One session serves one client thread (like a PostgreSQL
+// backend); different sessions run fully concurrently. The server must
+// outlive the session and every cursor it returned.
 
-  ClientSession(const ClientSession&) = delete;
-  ClientSession& operator=(const ClientSession&) = delete;
-
-  /// Parses and executes one statement, materializing the full result.
-  StatusOr<sql::Table> Execute(const std::string& sql);
-
-  /// Parses and executes one statement, returning a pull-based cursor.
-  /// `RANGE` / `S2T_MEMBERS` stream rows from the statement's snapshot.
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteCursor(
-      const std::string& sql);
-
-  /// Parses a statement with `$N` placeholders into a reusable handle
-  /// running against this session (same semantics as
-  /// `sql::Session::Prepare` — the wire protocol's PREPARE/BIND+EXECUTE
-  /// path). The handle must not outlive this session.
-  StatusOr<sql::PreparedStatement> Prepare(const std::string& sql);
-
-  /// Executes a ';'-separated script, returning the last statement's
-  /// table (same semantics as `sql::Session::ExecuteScript`).
-  StatusOr<sql::Table> ExecuteScript(const std::string& sql);
-
-  /// This session's settings registry (`SET`/`SHOW` surface).
-  const sql::Settings& settings() const { return settings_; }
-
-  /// This session's execution context (nullptr while hermes.threads = 1).
-  exec::ExecContext* exec_context() { return exec_.get(); }
-
-  /// Session-accumulated statistics (`SHOW STATS`).
-  const exec::ExecStats& stats() const { return session_stats_; }
-
- private:
-  friend class Server;
-  explicit ClientSession(Server* server);
-
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteStatement(
-      const sql::Statement& stmt, const std::vector<sql::Value>& binds);
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteShow(
-      const sql::Statement& stmt);
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteSelect(
-      const sql::Statement& stmt, const std::vector<sql::Value>& binds);
-
-  Server* server_;
-  sql::Settings settings_;
-  exec::ExecStats session_stats_;
-  /// Kept in sync with hermes.threads by its on-change hook.
-  size_t threads_ = 1;
-  std::unique_ptr<exec::ExecContext> exec_;
-};
-
-/// Wraps a connected service session in the backend-neutral
-/// `sql::StatementExecutor` interface (owning the session), so callers —
-/// the shard coordinator, examples, benches — speak one statement API
-/// whether the backend is embedded, in-process service, or remote.
+/// A connected service session as the backend-neutral
+/// `sql::StatementExecutor` (which it already is), so callers — the
+/// shard coordinator, examples, benches — spell every backend alike.
 std::unique_ptr<sql::StatementExecutor> MakeStatementExecutor(
-    std::unique_ptr<ClientSession> session);
+    std::unique_ptr<sql::Session> session);
 
 }  // namespace hermes::service
 

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <utility>
 
-#include "service/client_session.h"
 #include "service/wal_payloads.h"
 #include "sql/query_functions.h"
 
@@ -31,26 +30,11 @@ Status ValidateServerOptions(const ServerOptions& options) {
   if (options.threads > 1024) {
     return Status::InvalidArgument("ServerOptions.threads out of range");
   }
-  // Session defaults bypass the Set-path validators (Settings::Register
-  // only checks non-null), so enforce the same domains here — otherwise
-  // every session would silently run with values SET would reject.
-  const sql::HermesSettingDefaults& d = options.session_defaults;
-  if (d.threads < 1 || d.threads > 1024) {
-    return Status::InvalidArgument(
-        "session_defaults.threads must be in [1, 1024]");
-  }
-  if (!(d.sigma > 0.0) || !(d.epsilon > 0.0)) {
-    return Status::InvalidArgument(
-        "session_defaults.sigma/epsilon must be > 0");
-  }
-  if (d.use_index != 0 && d.use_index != 1) {
-    return Status::InvalidArgument("session_defaults.use_index must be 0/1");
-  }
-  if (d.hot_index_budget < 0) {
-    return Status::InvalidArgument(
-        "session_defaults.hot_index_budget must be >= 0 bytes");
-  }
-  return Status::OK();
+  // The session defaults must lie in the domains SET enforces: register
+  // them into a scratch registry, whose validators check each default.
+  sql::Settings scratch;
+  return sql::RegisterHermesSettings(&scratch, options.session_defaults,
+                                     nullptr);
 }
 
 StatusOr<std::unique_ptr<Server>> Server::Start(ServerOptions options,
@@ -73,12 +57,6 @@ void Server::Shutdown() {
   if (!worker_.joinable()) return;  // Already shut down.
   queue_.Close();
   worker_.join();
-}
-
-std::unique_ptr<ClientSession> Server::Connect() {
-  sessions_opened_.fetch_add(1, std::memory_order_relaxed);
-  sessions_active_.fetch_add(1, std::memory_order_relaxed);
-  return std::unique_ptr<ClientSession>(new ClientSession(this));
 }
 
 void Server::OnSessionClosed() {

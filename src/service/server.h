@@ -17,6 +17,7 @@
 #include "exec/exec_context.h"
 #include "service/ingest_queue.h"
 #include "sql/cursor.h"
+#include "sql/executor.h"
 #include "sql/settings.h"
 #include "storage/env.h"
 #include "traj/trajectory_store.h"
@@ -24,7 +25,7 @@
 
 namespace hermes::service {
 
-class ClientSession;
+class ServiceBackend;
 
 /// \brief Server configuration.
 struct ServerOptions {
@@ -114,13 +115,13 @@ void AppendServiceStatsRows(const ServiceStats& s, const std::string& prefix,
                             sql::Table* table);
 
 /// \brief The multi-session service: a shared catalog of MODs, a
-/// background ingest worker, and a factory for `ClientSession`s.
+/// background ingest worker, and a factory for client sessions.
 ///
 /// Ownership / threading (see docs/ARCHITECTURE.md "Service layer"):
 ///
 ///  - The server owns the env, the catalog, one `ExecContext`, the
 ///    `IngestQueue`, and the worker thread. It must outlive every
-///    `ClientSession` it connects.
+///    session it connects.
 ///  - Each MOD holds the writable store (touched only by the ingest
 ///    worker and DDL, under the MOD's writer lock), the shared ReTraTree
 ///    (readers take the lock shared for QUT; the worker takes it
@@ -148,7 +149,9 @@ class Server {
 
   /// Opens an independent client session (its own settings + exec
   /// context + cursors). The server must outlive it.
-  std::unique_ptr<ClientSession> Connect();
+  /// (See `service/client_session.h` for how a service session differs
+  /// from an embedded one.)
+  std::unique_ptr<sql::Session> Connect();
 
   // ---- Catalog DDL (serialized internally; sessions call these) ----
   Status CreateMod(const std::string& name);
@@ -204,7 +207,7 @@ class Server {
   exec::ExecContext* exec() { return exec_.get(); }
 
  private:
-  friend class ClientSession;
+  friend class ServiceBackend;
 
   struct SharedMod {
     /// Writer lock: ingest drains and DDL exclusive; QUT queries shared.

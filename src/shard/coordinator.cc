@@ -1,13 +1,12 @@
 #include "shard/coordinator.h"
 
 #include <algorithm>
+#include <functional>
 #include <thread>
 #include <utility>
 
-#include "service/client_session.h"
-#include "sql/parser.h"
+#include "sql/executor.h"
 #include "sql/query_functions.h"
-#include "sql/settings.h"
 
 namespace hermes::shard {
 
@@ -282,66 +281,145 @@ StatusOr<std::unique_ptr<sql::RowCursor>> Coordinator::QutQuery(
 }
 
 // ---------------------------------------------------------------------------
-// CoordinatorSession: the statement plane
+// CoordinatorBackend: routing, broadcast, and scatter–gather
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// One client's statement session against the coordinator: its own
-/// settings / exec context / stats (mirroring `service::ClientSession`),
-/// plus one `StatementExecutor` per shard — the *only* channel the
-/// scatter, route, and broadcast paths use to reach a shard, so swapping
-/// an in-process shard session for a remote `net::Client` executor
-/// changes nothing above this line.
-class CoordinatorSession final : public sql::PreparedStatementMapExecutor {
+/// The `sql::SessionBackend` of one coordinator session: the session
+/// dispatches, this routes. It holds one `StatementExecutor` per shard —
+/// the *only* channel the scatter, route, and broadcast paths use to
+/// reach a shard, so swapping an in-process shard session for a remote
+/// `net::Client` executor changes nothing above this line.
+class CoordinatorBackend final : public sql::SessionBackend {
  public:
-  explicit CoordinatorSession(Coordinator* coord) : coord_(coord) {
+  explicit CoordinatorBackend(Coordinator* coord) : coord_(coord) {
     for (size_t k = 0; k < coord_->num_shards(); ++k) {
-      shards_.push_back(
-          service::MakeStatementExecutor(coord_->shard(k)->Connect()));
+      shards_.push_back(coord_->shard(k)->Connect());
     }
-    (void)sql::RegisterHermesSettings(
-        &settings_, coord_->config().session_defaults, [this](size_t n) {
-          if (n != threads_) {
-            threads_ = n;
-            sql::SwapExecContext(n, &exec_, &session_stats_);
-          }
-          return Status::OK();
-        });
-    threads_ =
-        static_cast<size_t>(coord_->config().session_defaults.threads);
-    if (threads_ > 1) exec_ = std::make_unique<exec::ExecContext>(threads_);
   }
 
-  StatusOr<sql::Table> Execute(const std::string& sql) override {
-    HERMES_ASSIGN_OR_RETURN(std::unique_ptr<sql::RowCursor> cursor,
-                            ExecuteCursor(sql));
-    return cursor->ToTable();
+  // DDL and barriers broadcast: every shard's catalog moves in lockstep,
+  // which is what lets every other path assume a MOD exists on all
+  // shards or none.
+  Status CreateMod(const sql::Statement& stmt) override {
+    return Broadcast(stmt.text);
+  }
+  Status DropMod(const sql::Statement& stmt) override {
+    return Broadcast(stmt.text);
+  }
+  Status Flush(const sql::Statement& stmt) override {
+    return Broadcast(stmt.text);
+  }
+  Status Checkpoint(const sql::Statement& stmt) override {
+    return Broadcast(stmt.text);
   }
 
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteCursor(
-      const std::string& sql) override {
-    HERMES_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
-    if (stmt.num_params > 0) {
-      return Status::InvalidArgument(
-          "statement has $N placeholders; use Prepare and Bind");
+  StatusOr<std::pair<size_t, size_t>> LoadMod(
+      const sql::Statement& stmt) override {
+    return coord_->LoadMod(stmt.mod, stmt.path);
+  }
+
+  StatusOr<sql::Table> Insert(const sql::Statement& stmt,
+                              const std::vector<sql::Value>& binds) override {
+    // Route each (obj, t, x, y) row to the shard owning its object, then
+    // re-issue one INSERT per involved shard through the statement
+    // plane: an all-placeholder body bound to the evaluated values, so
+    // doubles round-trip exactly. Row order is preserved per shard, and
+    // both sides group rows per object in ascending id order
+    // (`BuildInsertTrajectories`), so the merge reproduces the
+    // unsharded statement's trajectories bit-for-bit.
+    const size_t n = coord_->num_shards();
+    std::vector<std::string> texts(n);
+    std::vector<std::vector<sql::Value>> shard_binds(n);
+    for (const auto& row : stmt.rows) {
+      HERMES_ASSIGN_OR_RETURN(traj::ObjectId obj,
+                              sql::EvalObjectId(row[0], binds));
+      const size_t k = coord_->partitioner().ShardOf(obj, n);
+      std::string& text = texts[k];
+      std::vector<sql::Value>& vals = shard_binds[k];
+      text += text.empty() ? "INSERT INTO " + stmt.mod + " VALUES (" : ", (";
+      for (int c = 0; c < 4; ++c) {
+        HERMES_ASSIGN_OR_RETURN(sql::Value v, sql::EvalScalar(row[c], binds));
+        vals.push_back(std::move(v));
+        text += "$" + std::to_string(vals.size());
+        text += c < 3 ? ", " : ")";
+      }
     }
-    return ExecuteStatement(stmt, {}, sql);
+    std::vector<size_t> ks;
+    for (size_t k = 0; k < n; ++k) {
+      if (!texts[k].empty()) ks.push_back(k);
+    }
+    std::vector<StatusOr<sql::Table>> results = FanOut(ks, [&](size_t k) {
+      return ExecOnShard(k, texts[k] + ";", shard_binds[k]);
+    });
+    int64_t queued = 0;
+    int64_t ticket = 0;
+    for (size_t i = 0; i < results.size(); ++i) {
+      if (!results[i].ok()) return ShardError(ks[i], results[i].status());
+      // Per-shard ack: (status, trajectories_queued, ticket).
+      queued += results[i]->rows[0][1].AsInt();
+      ticket = std::max(ticket, results[i]->rows[0][2].AsInt());
+    }
+    sql::Table table;
+    table.columns = {{"status", sql::ValueType::kString},
+                     {"trajectories_queued", sql::ValueType::kInt},
+                     {"ticket", sql::ValueType::kInt}};
+    table.rows = {{sql::Value::Str("QUEUE INSERT " + stmt.mod),
+                   sql::Value::Int(queued), sql::Value::Int(ticket)}};
+    return table;
   }
 
- protected:
-  StatusOr<sql::PreparedStatement> PrepareStatement(
-      const std::string& sql) override {
-    HERMES_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
-    // The runner keeps the statement *text*: scatter paths re-prepare it
-    // on each shard and bind there, so `$N` values round-trip typed
-    // (never through string formatting).
-    return sql::PreparedStatement(
-        std::move(stmt),
-        [this, sql](const sql::Statement& s,
-                    const std::vector<sql::Value>& b) {
-          return ExecuteStatement(s, b, sql);
-        });
+  StatusOr<std::unique_ptr<sql::RowCursor>> Qut(
+      const std::string& mod, double wi, double we,
+      const std::vector<double>& tree_params,
+      const sql::QueryEnv& env) override {
+    return coord_->QutQuery(mod, wi, we, tree_params, env.session_stats);
+  }
+
+  StatusOr<sql::SelectSource> Select(const sql::Statement& stmt,
+                                     const std::vector<sql::Value>& binds,
+                                     const std::string& mod) override {
+    // RANGE and STATS decompose per shard: scatter–gather.
+    sql::SelectSource source;
+    if (stmt.function == "RANGE") {
+      HERMES_ASSIGN_OR_RETURN(source.result, ScatterRange(stmt.text, binds));
+    } else if (stmt.function == "STATS") {
+      HERMES_ASSIGN_OR_RETURN(source.result, ScatterStats(stmt.text, binds));
+    } else {
+      // Clustering analytics (S2T, S2T_MEMBERS, TRACLUS, TOPTICS,
+      // CONVOYS) are global — a cluster may span shards — so they
+      // evaluate on the merged snapshot, which is bit-identical for any
+      // shard count.
+      HERMES_ASSIGN_OR_RETURN(source.store, Snapshot(mod));
+    }
+    return source;
+  }
+
+  StatusOr<sql::Table> ServiceStats() override {
+    const CoordinatorStats cs = coord_->Stats();
+    sql::Table table;
+    table.columns = {{"counter", sql::ValueType::kString},
+                     {"value", sql::ValueType::kInt}};
+    table.rows.push_back(
+        {sql::Value::Str("shards"),
+         sql::Value::Int(static_cast<int64_t>(coord_->num_shards()))});
+    service::AppendServiceStatsRows(cs.total, "", &table);
+    for (size_t k = 0; k < cs.per_shard.size(); ++k) {
+      service::AppendServiceStatsRows(
+          cs.per_shard[k], "shard" + std::to_string(k) + ".", &table);
+    }
+    return table;
+  }
+
+  Status RegisterStore(const std::string& mod,
+                       traj::TrajectoryStore store) override {
+    return coord_->RegisterStore(mod, std::move(store));
+  }
+
+  StatusOr<std::shared_ptr<const traj::TrajectoryStore>> Snapshot(
+      const std::string& mod) override {
+    return coord_->GatherSnapshot(mod);
   }
 
  private:
@@ -379,188 +457,29 @@ class CoordinatorSession final : public sql::PreparedStatementMapExecutor {
   }
 
   /// Broadcasts one statement to every shard; first (lowest-index)
-  /// error wins, else shard 0's table — identical on all shards for the
-  /// DDL / FLUSH / CHECKPOINT statements that take this path.
-  StatusOr<std::unique_ptr<sql::RowCursor>> Broadcast(
+  /// error wins. The session acks for the shards — their acks are
+  /// identical for the DDL / FLUSH / CHECKPOINT statements that take
+  /// this path.
+  Status Broadcast(const std::string& text) {
+    return Scatter(text, {}).status();
+  }
+
+  /// Fans one statement out to every shard; fails on the first
+  /// (lowest-index) shard error, unprefixed — scattered statements fail
+  /// identically on every shard (lockstep catalogs, same validation).
+  StatusOr<std::vector<sql::Table>> Scatter(
       const std::string& text, const std::vector<sql::Value>& binds) {
     std::vector<size_t> ks(coord_->num_shards());
     for (size_t k = 0; k < ks.size(); ++k) ks[k] = k;
     std::vector<StatusOr<sql::Table>> results = FanOut(
         ks, [&](size_t k) { return ExecOnShard(k, text, binds); });
+    std::vector<sql::Table> tables;
+    tables.reserve(results.size());
     for (auto& r : results) {
       if (!r.ok()) return r.status();
+      tables.push_back(std::move(*r));
     }
-    return sql::MakeTableCursor(std::move(*results[0]));
-  }
-
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteStatement(
-      const sql::Statement& stmt, const std::vector<sql::Value>& binds,
-      const std::string& text) {
-    using Kind = sql::Statement::Kind;
-    switch (stmt.kind) {
-      // DDL and barriers broadcast: every shard's catalog moves in
-      // lockstep, which is what lets every other path assume a MOD
-      // exists on all shards or none.
-      case Kind::kCreateMod:
-      case Kind::kDropMod:
-      case Kind::kFlush:
-      case Kind::kCheckpoint:
-        return Broadcast(text, binds);
-      case Kind::kLoadMod: {
-        HERMES_ASSIGN_OR_RETURN(auto totals,
-                                coord_->LoadMod(stmt.mod, stmt.path));
-        sql::Table table;
-        table.columns = {{"status", sql::ValueType::kString},
-                         {"trajectories", sql::ValueType::kInt},
-                         {"points", sql::ValueType::kInt}};
-        table.rows = {
-            {sql::Value::Str("LOAD " + stmt.mod),
-             sql::Value::Int(static_cast<int64_t>(totals.first)),
-             sql::Value::Int(static_cast<int64_t>(totals.second))}};
-        return sql::MakeTableCursor(std::move(table));
-      }
-      case Kind::kInsert:
-        return ExecuteInsert(stmt, binds);
-      case Kind::kSet: {
-        HERMES_ASSIGN_OR_RETURN(sql::Value v,
-                                sql::EvalScalar(stmt.set_value, binds));
-        Status st = settings_.Set(stmt.setting, std::move(v));
-        if (!st.ok()) {
-          return Status(st.code(),
-                        st.message() +
-                            sql::ErrorLocation(stmt.setting_pos,
-                                               stmt.setting));
-        }
-        HERMES_ASSIGN_OR_RETURN(sql::Value stored,
-                                settings_.Get(stmt.setting));
-        return sql::MakeTableCursor(sql::AckTable(
-            "SET " + stmt.setting + " = " + stored.ToString()));
-      }
-      case Kind::kShow:
-        return ExecuteShow(stmt);
-      case Kind::kSelect:
-        return ExecuteSelect(stmt, binds, text);
-    }
-    return Status::Internal("unreachable");
-  }
-
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteInsert(
-      const sql::Statement& stmt, const std::vector<sql::Value>& binds) {
-    // Route each (obj, t, x, y) row to the shard owning its object, then
-    // re-issue one INSERT per involved shard through the statement
-    // plane: an all-placeholder body bound to the evaluated values, so
-    // doubles round-trip exactly. Row order is preserved per shard, and
-    // both sides group rows per object in ascending id order
-    // (`BuildInsertTrajectories`), so the merge reproduces the
-    // unsharded statement's trajectories bit-for-bit.
-    const size_t n = coord_->num_shards();
-    std::vector<std::string> texts(n);
-    std::vector<std::vector<sql::Value>> shard_binds(n);
-    for (const auto& row : stmt.rows) {
-      HERMES_ASSIGN_OR_RETURN(double obj, sql::EvalNumber(row[0], binds));
-      const size_t k = coord_->partitioner().ShardOf(
-          static_cast<traj::ObjectId>(obj), n);
-      std::string& text = texts[k];
-      std::vector<sql::Value>& vals = shard_binds[k];
-      text += text.empty() ? "INSERT INTO " + stmt.mod + " VALUES (" : ", (";
-      for (int c = 0; c < 4; ++c) {
-        HERMES_ASSIGN_OR_RETURN(sql::Value v, sql::EvalScalar(row[c], binds));
-        vals.push_back(std::move(v));
-        text += "$" + std::to_string(vals.size());
-        text += c < 3 ? ", " : ")";
-      }
-    }
-    std::vector<size_t> ks;
-    for (size_t k = 0; k < n; ++k) {
-      if (!texts[k].empty()) ks.push_back(k);
-    }
-    std::vector<StatusOr<sql::Table>> results = FanOut(ks, [&](size_t k) {
-      return ExecOnShard(k, texts[k] + ";", shard_binds[k]);
-    });
-    int64_t queued = 0;
-    int64_t ticket = 0;
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].ok()) return ShardError(ks[i], results[i].status());
-      // Per-shard ack: (status, trajectories_queued, ticket).
-      queued += results[i]->rows[0][1].AsInt();
-      ticket = std::max(ticket, results[i]->rows[0][2].AsInt());
-    }
-    sql::Table table;
-    table.columns = {{"status", sql::ValueType::kString},
-                     {"trajectories_queued", sql::ValueType::kInt},
-                     {"ticket", sql::ValueType::kInt}};
-    table.rows = {{sql::Value::Str("QUEUE INSERT " + stmt.mod),
-                   sql::Value::Int(queued), sql::Value::Int(ticket)}};
-    return sql::MakeTableCursor(std::move(table));
-  }
-
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteShow(
-      const sql::Statement& stmt) {
-    if (stmt.setting == "service.stats") {
-      const CoordinatorStats cs = coord_->Stats();
-      sql::Table table;
-      table.columns = {{"counter", sql::ValueType::kString},
-                       {"value", sql::ValueType::kInt}};
-      table.rows.push_back(
-          {sql::Value::Str("shards"),
-           sql::Value::Int(static_cast<int64_t>(coord_->num_shards()))});
-      service::AppendServiceStatsRows(cs.total, "", &table);
-      for (size_t k = 0; k < cs.per_shard.size(); ++k) {
-        service::AppendServiceStatsRows(
-            cs.per_shard[k], "shard" + std::to_string(k) + ".", &table);
-      }
-      return sql::MakeTableCursor(std::move(table));
-    }
-    if (stmt.setting == "stats") {
-      return sql::MakeTableCursor(
-          sql::PhaseStatsTable(session_stats_, exec_.get()));
-    }
-    HERMES_ASSIGN_OR_RETURN(sql::Table table,
-                            sql::SettingsShowTable(settings_, stmt));
-    return sql::MakeTableCursor(std::move(table));
-  }
-
-  StatusOr<std::unique_ptr<sql::RowCursor>> ExecuteSelect(
-      const sql::Statement& stmt, const std::vector<sql::Value>& binds,
-      const std::string& text) {
-    HERMES_ASSIGN_OR_RETURN(std::string mod,
-                            sql::ResolveSelectModName(stmt, binds));
-    const std::string at =
-        sql::ErrorLocation(stmt.function_pos, stmt.function);
-    std::vector<double> args;
-    args.reserve(stmt.args.size());
-    for (const auto& arg : stmt.args) {
-      HERMES_ASSIGN_OR_RETURN(double v, sql::EvalNumber(arg, binds));
-      args.push_back(v);
-    }
-
-    if (stmt.function == "QUT") {
-      if (args.size() != 7) {
-        return Status::InvalidArgument(
-            "QUT(D, Wi, We, tau, delta, t, d, gamma) takes 7 numbers" + at);
-      }
-      const std::vector<double> tree_params(args.begin() + 2, args.end());
-      return coord_->QutQuery(mod, args[0], args[1], tree_params,
-                              &session_stats_);
-    }
-    // RANGE and STATS decompose per shard: scatter–gather.
-    if (stmt.function == "RANGE") return ScatterRange(text, binds);
-    if (stmt.function == "STATS") return ScatterStats(text, binds);
-
-    // Clustering analytics (S2T, S2T_MEMBERS, TRACLUS, TOPTICS,
-    // CONVOYS) are global — a cluster may span shards — so they
-    // evaluate on the merged snapshot, which is bit-identical for any
-    // shard count.
-    HERMES_ASSIGN_OR_RETURN(std::shared_ptr<const traj::TrajectoryStore> snap,
-                            coord_->GatherSnapshot(mod));
-    sql::QueryEnv env;
-    env.store = std::move(snap);
-    env.exec = exec_.get();
-    env.session_stats = &session_stats_;
-    env.default_sigma = settings_.Get("hermes.sigma")->AsDouble();
-    env.default_epsilon = settings_.Get("hermes.epsilon")->AsDouble();
-    env.use_index = settings_.Get("hermes.use_index")->AsInt() != 0;
-    return sql::EvalSelectFunction(stmt.function, args, env, at);
+    return tables;
   }
 
   /// Scatters the statement to every shard and merges row-wise: shard
@@ -618,36 +537,15 @@ class CoordinatorSession final : public sql::PreparedStatementMapExecutor {
     return sql::MakeTableCursor(std::move(merged));
   }
 
-  /// Fans one statement out to every shard; fails on the first
-  /// (lowest-index) shard error, unprefixed — scattered statements fail
-  /// identically on every shard (lockstep catalogs, same validation).
-  StatusOr<std::vector<sql::Table>> Scatter(
-      const std::string& text, const std::vector<sql::Value>& binds) {
-    std::vector<size_t> ks(coord_->num_shards());
-    for (size_t k = 0; k < ks.size(); ++k) ks[k] = k;
-    std::vector<StatusOr<sql::Table>> results = FanOut(
-        ks, [&](size_t k) { return ExecOnShard(k, text, binds); });
-    std::vector<sql::Table> tables;
-    tables.reserve(results.size());
-    for (auto& r : results) {
-      if (!r.ok()) return r.status();
-      tables.push_back(std::move(*r));
-    }
-    return tables;
-  }
-
   Coordinator* coord_;
   std::vector<std::unique_ptr<sql::StatementExecutor>> shards_;
-  sql::Settings settings_;
-  exec::ExecStats session_stats_;
-  size_t threads_ = 1;
-  std::unique_ptr<exec::ExecContext> exec_;
 };
 
 }  // namespace
 
 std::unique_ptr<sql::StatementExecutor> Coordinator::Connect() {
-  return std::make_unique<CoordinatorSession>(this);
+  return std::make_unique<sql::Session>(
+      std::make_unique<CoordinatorBackend>(this), config_.session_defaults);
 }
 
 }  // namespace hermes::shard

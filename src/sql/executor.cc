@@ -1,83 +1,88 @@
 #include "sql/executor.h"
 
-#include <algorithm>
-#include <cctype>
 #include <utility>
-
-#include "sql/query_functions.h"
 
 namespace hermes::sql {
 
 namespace {
 
-/// Executor errors carry the statement location of the offending token,
-/// same shape as tokenizer/parser diagnostics.
-std::string At(size_t pos, const std::string& tok) {
-  return ErrorLocation(pos, tok);
+std::unique_ptr<RowCursor> Ack(std::string status) {
+  return MakeTableCursor(AckTable(std::move(status)));
 }
-
-std::unique_ptr<RowCursor> MakeCursor(Table table) {
-  return MakeTableCursor(std::move(table));
-}
-
-Table Ack(std::string status) { return AckTable(std::move(status)); }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Session: construction + registry
+// PreparedStatement
+// ---------------------------------------------------------------------------
+
+PreparedStatement::PreparedStatement(Session* session, Statement stmt)
+    : session_(session),
+      stmt_(std::move(stmt)),
+      binds_(static_cast<size_t>(stmt_.num_params)),
+      bound_(static_cast<size_t>(stmt_.num_params), false) {}
+
+Status PreparedStatement::Bind(int index, Value v) {
+  if (index < 1 || index > stmt_.num_params) {
+    return Status::InvalidArgument(
+        "bind index $" + std::to_string(index) + " out of range; statement "
+        "has " + std::to_string(stmt_.num_params) + " parameter(s)");
+  }
+  binds_[index - 1] = std::move(v);
+  bound_[index - 1] = true;
+  return Status::OK();
+}
+
+StatusOr<std::unique_ptr<RowCursor>> PreparedStatement::ExecuteCursor() {
+  for (size_t i = 0; i < bound_.size(); ++i) {
+    if (!bound_[i]) {
+      return Status::InvalidArgument("parameter $" + std::to_string(i + 1) +
+                                     " not bound");
+    }
+  }
+  return session_->ExecuteStatement(stmt_, binds_);
+}
+
+StatusOr<Table> PreparedStatement::Execute() {
+  HERMES_ASSIGN_OR_RETURN(std::unique_ptr<RowCursor> cursor, ExecuteCursor());
+  return cursor->ToTable();
+}
+
+// ---------------------------------------------------------------------------
+// Session: construction
 // ---------------------------------------------------------------------------
 
 Session::Session(storage::Env* env, std::string data_dir)
-    : data_dir_(std::move(data_dir)) {
-  if (env == nullptr) {
-    owned_env_ = storage::Env::NewMemEnv();
-    env_ = owned_env_.get();
-  } else {
-    env_ = env;
-  }
-  RegisterSettings();
-}
+    : Session(MakeEmbeddedBackend(env, std::move(data_dir)),
+              HermesSettingDefaults{}) {}
 
-void Session::RegisterSettings() {
-  // Registration of compile-time-known settings cannot fail; the (void)
-  // cast acknowledges the Status. The knobs themselves are shared with
-  // the service layer (`RegisterHermesSettings`); only the threads hook —
-  // what *this* owner does when its parallelism changes — is ours:
-  // lazily-built trees hold the old context, so drop them before the
-  // shared context swap.
-  (void)RegisterHermesSettings(
-      &settings_, HermesSettingDefaults{}, [this](size_t n) {
-        if (n != threads_) {
-          threads_ = n;
-          for (auto& [name, entry] : mods_) {
-            entry.tree.reset();
-            entry.tree_params.clear();
-          }
-          SwapExecContext(n, &exec_, &session_stats_);
-        }
-        return Status::OK();
-      });
+Session::Session(std::unique_ptr<SessionBackend> backend,
+                 const HermesSettingDefaults& defaults)
+    : threads_(static_cast<size_t>(defaults.threads)),
+      backend_(std::move(backend)) {
+  if (threads_ > 1) exec_ = std::make_unique<exec::ExecContext>(threads_);
+  // Registration of validated defaults cannot fail; the (void) cast
+  // acknowledges the Status. The threads hook lets the backend drop
+  // state built on the retiring context before the swap.
+  (void)RegisterHermesSettings(&settings_, defaults, [this](size_t n) {
+    if (n != threads_) {
+      threads_ = n;
+      backend_->OnThreadsChange();
+      SwapExecContext(n, &exec_, &session_stats_);
+    }
+    return Status::OK();
+  });
 }
 
 Status Session::RegisterStore(const std::string& name,
                               traj::TrajectoryStore store) {
-  ModEntry entry;
-  entry.store = std::move(store);
-  mods_[CanonicalModName(name)] = std::move(entry);
-  return Status::OK();
+  return backend_->RegisterStore(CanonicalModName(name), std::move(store));
 }
 
-const traj::TrajectoryStore* Session::FindStore(
-    const std::string& name) const {
-  auto it = mods_.find(CanonicalModName(name));
-  return it == mods_.end() ? nullptr : &it->second.store;
-}
-
-StatusOr<Session::ModEntry*> Session::FindMod(const std::string& name) {
-  auto it = mods_.find(name);
-  if (it == mods_.end()) return Status::NotFound("no MOD named " + name);
-  return &it->second;
+std::shared_ptr<const traj::TrajectoryStore> Session::FindStore(
+    const std::string& name) {
+  auto store = backend_->Snapshot(CanonicalModName(name));
+  return store.ok() ? std::move(*store) : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -95,24 +100,65 @@ StatusOr<std::unique_ptr<RowCursor>> Session::ExecuteCursor(
   HERMES_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
   if (stmt.num_params > 0) {
     return Status::InvalidArgument(
-        "statement has $N placeholders; use Session::Prepare and Bind");
+        "statement has $N placeholders; use Prepare and Bind");
   }
   return ExecuteStatement(stmt, {});
 }
 
-StatusOr<PreparedStatement> Session::Prepare(const std::string& sql) {
+StatusOr<PreparedStatement> Session::PrepareStatement(const std::string& sql) {
   HERMES_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
-  // The runner pins this session (it is neither movable nor copyable),
-  // so the handle stays valid for the session's whole life.
-  return PreparedStatement(
-      std::move(stmt), [this](const Statement& s, const std::vector<Value>& b) {
-        return ExecuteStatement(s, b);
-      });
+  return PreparedStatement(this, std::move(stmt));
+}
+
+StatusOr<PreparedHandle> Session::Prepare(const std::string& sql) {
+  HERMES_ASSIGN_OR_RETURN(PreparedStatement ps, PrepareStatement(sql));
+  const uint32_t id = next_id_++;
+  PreparedHandle handle{id, ps.num_params()};
+  prepared_.emplace(id, std::move(ps));
+  return handle;
+}
+
+StatusOr<Table> Session::BindExecute(uint32_t id,
+                                     const std::vector<Value>& binds) {
+  auto it = prepared_.find(id);
+  if (it == prepared_.end()) {
+    return Status::NotFound("no prepared statement with id " +
+                            std::to_string(id));
+  }
+  for (size_t i = 0; i < binds.size(); ++i) {
+    HERMES_RETURN_NOT_OK(it->second.Bind(static_cast<int>(i) + 1, binds[i]));
+  }
+  return it->second.Execute();
+}
+
+Status Session::ClosePrepared(uint32_t id) {
+  prepared_.erase(id);
+  return Status::OK();
 }
 
 StatusOr<Table> Session::ExecuteScript(const std::string& sql) {
-  return RunScript(
-      sql, [this](const Statement& stmt) { return ExecuteStatement(stmt, {}); });
+  HERMES_ASSIGN_OR_RETURN(std::vector<Statement> stmts, ParseScript(sql));
+  if (stmts.empty()) return Status::InvalidArgument("empty script");
+  Table last;
+  for (size_t k = 0; k < stmts.size(); ++k) {
+    auto prefix = [&] { return "statement " + std::to_string(k + 1) + ": "; };
+    if (stmts[k].num_params > 0) {
+      return Status::InvalidArgument(
+          prefix() + "script statements cannot carry $N placeholders");
+    }
+    auto cursor = ExecuteStatement(stmts[k], {});
+    if (!cursor.ok()) {
+      return Status(cursor.status().code(),
+                    prefix() + cursor.status().message());
+    }
+    auto table = (*cursor)->ToTable();
+    if (!table.ok()) {
+      return Status(table.status().code(),
+                    prefix() + table.status().message());
+    }
+    last = std::move(*table);
+  }
+  return last;
 }
 
 // ---------------------------------------------------------------------------
@@ -122,82 +168,46 @@ StatusOr<Table> Session::ExecuteScript(const std::string& sql) {
 StatusOr<std::unique_ptr<RowCursor>> Session::ExecuteStatement(
     const Statement& stmt, const std::vector<Value>& binds) {
   switch (stmt.kind) {
-    case Statement::Kind::kCreateMod: {
-      if (mods_.count(stmt.mod) > 0) {
-        return Status::AlreadyExists("MOD " + stmt.mod + " exists");
-      }
-      mods_[stmt.mod] = ModEntry{};
-      return MakeCursor(Ack("CREATE MOD " + stmt.mod));
-    }
-    case Statement::Kind::kDropMod: {
-      if (mods_.erase(stmt.mod) == 0) {
-        return Status::NotFound("no MOD named " + stmt.mod);
-      }
-      return MakeCursor(Ack("DROP MOD " + stmt.mod));
-    }
+    case Statement::Kind::kCreateMod:
+      HERMES_RETURN_NOT_OK(backend_->CreateMod(stmt));
+      return Ack("CREATE MOD " + stmt.mod);
+    case Statement::Kind::kDropMod:
+      HERMES_RETURN_NOT_OK(backend_->DropMod(stmt));
+      return Ack("DROP MOD " + stmt.mod);
     case Statement::Kind::kLoadMod: {
-      auto [it, inserted] = mods_.try_emplace(stmt.mod);
-      Status load = it->second.store.LoadCsv(stmt.path);
-      if (!load.ok()) {
-        // A failed load must not leave a phantom empty MOD behind.
-        if (inserted) mods_.erase(it);
-        return load;
-      }
-      it->second.tree.reset();
+      HERMES_ASSIGN_OR_RETURN(auto totals, backend_->LoadMod(stmt));
       Table table;
       table.columns = {{"status", ValueType::kString},
                        {"trajectories", ValueType::kInt},
                        {"points", ValueType::kInt}};
-      table.rows = {
-          {Value::Str("LOAD " + stmt.mod),
-           Value::Int(static_cast<int64_t>(it->second.store.NumTrajectories())),
-           Value::Int(static_cast<int64_t>(it->second.store.NumPoints()))}};
-      return MakeCursor(std::move(table));
+      table.rows = {{Value::Str("LOAD " + stmt.mod),
+                     Value::Int(static_cast<int64_t>(totals.first)),
+                     Value::Int(static_cast<int64_t>(totals.second))}};
+      return MakeTableCursor(std::move(table));
     }
     case Statement::Kind::kInsert: {
-      HERMES_ASSIGN_OR_RETURN(ModEntry * entry, FindMod(stmt.mod));
-      // One trajectory per object id (the service session shares this row
-      // evaluation, but queues the result instead of adding inline).
-      HERMES_ASSIGN_OR_RETURN(std::vector<traj::Trajectory> batch,
-                              BuildInsertTrajectories(stmt, binds));
-      size_t added = 0;
-      for (traj::Trajectory& t : batch) {
-        auto r = entry->store.Add(std::move(t));
-        if (!r.ok()) return r.status();
-        ++added;
-      }
-      entry->tree.reset();
-      Table table;
-      table.columns = {{"status", ValueType::kString},
-                       {"trajectories_added", ValueType::kInt}};
-      table.rows = {{Value::Str("INSERT " + stmt.mod),
-                     Value::Int(static_cast<int64_t>(added))}};
-      return MakeCursor(std::move(table));
+      HERMES_ASSIGN_OR_RETURN(Table ack, backend_->Insert(stmt, binds));
+      return MakeTableCursor(std::move(ack));
     }
     case Statement::Kind::kSet: {
       HERMES_ASSIGN_OR_RETURN(Value v, EvalScalar(stmt.set_value, binds));
       Status st = settings_.Set(stmt.setting, std::move(v));
       if (!st.ok()) {
-        return Status(st.code(), st.message() +
-                                     At(stmt.setting_pos, stmt.setting));
+        return Status(st.code(), st.message() + ErrorLocation(stmt.setting_pos,
+                                                              stmt.setting));
       }
       // Echo the stored (coerced) value, not the literal spelling.
       HERMES_ASSIGN_OR_RETURN(Value stored, settings_.Get(stmt.setting));
-      return MakeCursor(
-          Ack("SET " + stmt.setting + " = " + stored.ToString()));
+      return Ack("SET " + stmt.setting + " = " + stored.ToString());
     }
     case Statement::Kind::kShow:
       return ExecuteShow(stmt);
-    case Statement::Kind::kCheckpoint:
-      // Durability is a service-layer concern (mirrors SHOW SERVICE
-      // STATS): embedded sessions have no WAL to checkpoint.
-      return Status::NotSupported(
-          "CHECKPOINT is only available through a service session");
     case Statement::Kind::kFlush:
-      // Embedded sessions ingest synchronously — every INSERT already
-      // applied before its ack — so FLUSH acknowledges trivially. The
-      // service session overrides this with a real queue drain.
-      return MakeCursor(Ack("FLUSH"));
+      HERMES_RETURN_NOT_OK(backend_->Flush(stmt));
+      return Ack("FLUSH");
+    case Statement::Kind::kCheckpoint:
+      HERMES_RETURN_NOT_OK(backend_->Checkpoint(stmt));
+      return Ack("CHECKPOINT");
     case Statement::Kind::kSelect:
       return ExecuteSelect(stmt, binds);
   }
@@ -207,38 +217,23 @@ StatusOr<std::unique_ptr<RowCursor>> Session::ExecuteStatement(
 StatusOr<std::unique_ptr<RowCursor>> Session::ExecuteShow(
     const Statement& stmt) {
   if (stmt.setting == "service.stats") {
-    return Status::NotSupported(
-        "SHOW SERVICE STATS needs a service session "
-        "(service::Server::Connect); this is an embedded sql::Session");
+    HERMES_ASSIGN_OR_RETURN(Table table, backend_->ServiceStats());
+    return MakeTableCursor(std::move(table));
   }
   if (stmt.setting == "stats") {
     Table table = PhaseStatsTable(session_stats_, exec_.get());
-    // Hot/cold tier counters ride along after the phase timings, summed
-    // over every built tree (counter value in the total_us column).
-    core::HotTierStats tier;
-    for (const auto& [name, entry] : mods_) {
-      if (entry.tree != nullptr) {
-        AccumulateHotTierStats(entry.tree->hot_stats(), &tier);
-      }
-    }
-    AppendHotTierRows(tier, &table);
-    return MakeCursor(std::move(table));
+    backend_->AppendStatsRows(&table);
+    return MakeTableCursor(std::move(table));
   }
   HERMES_ASSIGN_OR_RETURN(Table table, SettingsShowTable(settings_, stmt));
-  return MakeCursor(std::move(table));
+  return MakeTableCursor(std::move(table));
 }
-
-// ---------------------------------------------------------------------------
-// Session: SELECT functions
-// ---------------------------------------------------------------------------
 
 StatusOr<std::unique_ptr<RowCursor>> Session::ExecuteSelect(
     const Statement& stmt, const std::vector<Value>& binds) {
   // When the MOD position itself was a `$N`, its binding names the
-  // dataset (shared resolution with the service session).
+  // dataset.
   HERMES_ASSIGN_OR_RETURN(std::string mod, ResolveSelectModName(stmt, binds));
-  HERMES_ASSIGN_OR_RETURN(ModEntry * entry, FindMod(mod));
-  auto at_fn = [&stmt] { return At(stmt.function_pos, stmt.function); };
 
   // Evaluates all scalar arguments up front (they are few and cheap);
   // streaming applies to result rows, not inputs.
@@ -249,55 +244,30 @@ StatusOr<std::unique_ptr<RowCursor>> Session::ExecuteSelect(
     args.push_back(v);
   }
 
+  QueryEnv env;
+  env.exec = exec_.get();
+  env.session_stats = &session_stats_;
   if (stmt.function == "QUT") {
     if (args.size() != 7) {
       return Status::InvalidArgument(
           "QUT(D, Wi, We, tau, delta, t, d, gamma) takes 7 numbers" +
-          at_fn());
+          ErrorLocation(stmt.function_pos, stmt.function));
     }
-    const double wi = args[0];
-    const double we = args[1];
+    env.hot_index_budget = static_cast<size_t>(
+        settings_.Get("hermes.hot_index_budget")->AsInt());
     const std::vector<double> tree_params(args.begin() + 2, args.end());
-    if (entry->tree == nullptr || entry->tree_params != tree_params) {
-      const core::ReTraTreeParams params = MakeQutTreeParams(tree_params);
-      const std::string dir =
-          data_dir_ + "/tree_" + std::to_string(tree_seq_++);
-      HERMES_ASSIGN_OR_RETURN(
-          entry->tree, core::ReTraTree::Open(env_, dir, params, exec_.get()));
-      HERMES_RETURN_NOT_OK(
-          entry->tree->InsertStore(entry->store, exec_.get()));
-      entry->tree_params = tree_params;
-      // Same coverage as the S2T path: without a live context (which
-      // records for itself) the fresh tree's cumulative S2T timings — and
-      // the batch-ingest phase split — are exactly this build's; archive
-      // them for SHOW STATS.
-      if (exec_ == nullptr) {
-        entry->tree->stats().s2t_timings.ExportTo(&session_stats_);
-        session_stats_.RecordPhaseUs("ingest_split",
-                                     entry->tree->stats().ingest_split_us);
-        session_stats_.RecordPhaseUs("ingest_apply",
-                                     entry->tree->stats().ingest_apply_us);
-      }
-    }
-    // The budget knob applies on every query, not just at build time, so
-    // `SET hermes.hot_index_budget = 0` cold-disables an existing tree.
-    entry->tree->SetHotIndexBudget(static_cast<size_t>(
-        settings_.Get("hermes.hot_index_budget")->AsInt()));
-    return QutQuery(entry->tree.get(), wi, we, &session_stats_);
+    return backend_->Qut(mod, args[0], args[1], tree_params, env);
   }
 
-  // Everything else evaluates through the shared query functions — the
-  // same code path a service ClientSession runs over its snapshots. The
-  // embedded session's store outlives its cursors by contract, so a
-  // non-owning handle suffices.
-  QueryEnv env;
-  env.store = BorrowStore(&entry->store);
-  env.exec = exec_.get();
-  env.session_stats = &session_stats_;
+  HERMES_ASSIGN_OR_RETURN(SelectSource source,
+                          backend_->Select(stmt, binds, mod));
+  if (source.result != nullptr) return std::move(source.result);
+  env.store = std::move(source.store);
   env.default_sigma = settings_.Get("hermes.sigma")->AsDouble();
   env.default_epsilon = settings_.Get("hermes.epsilon")->AsDouble();
   env.use_index = settings_.Get("hermes.use_index")->AsInt() != 0;
-  return EvalSelectFunction(stmt.function, args, env, at_fn());
+  return EvalSelectFunction(stmt.function, args, env,
+                            ErrorLocation(stmt.function_pos, stmt.function));
 }
 
 }  // namespace hermes::sql

@@ -43,7 +43,7 @@ struct ScalarExpr {
 ///
 /// Supported forms (keywords case-insensitive; any scalar — and the MOD
 /// position of a SELECT — may be a `$N` placeholder, bound later via
-/// `Session::Prepare`):
+/// `Session::Prepare` / `PrepareStatement`):
 ///   CREATE MOD name;
 ///   DROP MOD name;
 ///   LOAD MOD name FROM 'file.csv';
@@ -88,6 +88,9 @@ struct Statement {
   size_t setting_pos = 0;   ///< Byte offset of the setting name token.
   ScalarExpr set_value;     ///< SET right-hand side.
   int num_params = 0;    ///< Highest `$N` placeholder index (0 = none).
+  /// The statement's source text (its own slice of a script): the shard
+  /// coordinator re-prepares it on every shard it fans out to.
+  std::string text;
 };
 
 /// Parses exactly one statement (trailing ';' optional).

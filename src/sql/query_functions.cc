@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <map>
 #include <utility>
 
@@ -20,42 +21,6 @@ std::shared_ptr<const traj::TrajectoryStore> BorrowStore(
   // store outlives every cursor built over it.
   return std::shared_ptr<const traj::TrajectoryStore>(
       std::shared_ptr<const void>(), store);
-}
-
-// ---------------------------------------------------------------------------
-// PreparedStatement
-// ---------------------------------------------------------------------------
-
-PreparedStatement::PreparedStatement(Statement stmt, StatementRunner run)
-    : stmt_(std::move(stmt)),
-      run_(std::move(run)),
-      binds_(static_cast<size_t>(stmt_.num_params)),
-      bound_(static_cast<size_t>(stmt_.num_params), false) {}
-
-Status PreparedStatement::Bind(int index, Value v) {
-  if (index < 1 || index > stmt_.num_params) {
-    return Status::InvalidArgument(
-        "bind index $" + std::to_string(index) + " out of range; statement "
-        "has " + std::to_string(stmt_.num_params) + " parameter(s)");
-  }
-  binds_[index - 1] = std::move(v);
-  bound_[index - 1] = true;
-  return Status::OK();
-}
-
-StatusOr<std::unique_ptr<RowCursor>> PreparedStatement::ExecuteCursor() {
-  for (size_t i = 0; i < bound_.size(); ++i) {
-    if (!bound_[i]) {
-      return Status::InvalidArgument("parameter $" + std::to_string(i + 1) +
-                                     " not bound");
-    }
-  }
-  return run_(stmt_, binds_);
-}
-
-StatusOr<Table> PreparedStatement::Execute() {
-  HERMES_ASSIGN_OR_RETURN(std::unique_ptr<RowCursor> cursor, ExecuteCursor());
-  return cursor->ToTable();
 }
 
 StatusOr<std::string> ResolveSelectModName(const Statement& stmt,
@@ -121,11 +86,12 @@ StatusOr<std::vector<traj::Trajectory>> BuildInsertTrajectories(
   // Group rows by object id; each group yields one trajectory.
   std::map<uint64_t, traj::Trajectory> builders;
   for (const auto& row : stmt.rows) {
+    HERMES_ASSIGN_OR_RETURN(const traj::ObjectId obj,
+                            EvalObjectId(row[0], binds));
     std::array<double, 4> cell{};
-    for (int k = 0; k < 4; ++k) {
+    for (int k = 1; k < 4; ++k) {
       HERMES_ASSIGN_OR_RETURN(cell[k], EvalNumber(row[k], binds));
     }
-    const auto obj = static_cast<traj::ObjectId>(cell[0]);
     auto [bit, fresh] = builders.try_emplace(obj, traj::Trajectory(obj));
     HERMES_RETURN_NOT_OK(bit->second.Append({cell[2], cell[3], cell[1]}));
   }
@@ -133,6 +99,20 @@ StatusOr<std::vector<traj::Trajectory>> BuildInsertTrajectories(
   out.reserve(builders.size());
   for (auto& [obj, t] : builders) out.push_back(std::move(t));
   return out;
+}
+
+StatusOr<traj::ObjectId> EvalObjectId(const ScalarExpr& e,
+                                      const std::vector<Value>& binds) {
+  HERMES_ASSIGN_OR_RETURN(double id, EvalNumber(e, binds));
+  // 2^53: the largest range in which every integer is exact as a double.
+  // The negated test also rejects NaN.
+  constexpr double kMaxObjectId = 9007199254740992.0;
+  if (!(id >= 0.0 && id <= kMaxObjectId) || id != std::floor(id)) {
+    return Status::InvalidArgument(
+        "object id must be an integer in [0, 2^53], got " +
+        Value::Double(id).ToString() + ErrorLocation(e.pos, e.text));
+  }
+  return static_cast<traj::ObjectId>(id);
 }
 
 bool IsSelectFunction(const std::string& function) {
@@ -449,34 +429,6 @@ StatusOr<Table> SettingsShowTable(const Settings& settings,
   }
   table.rows.push_back(row(*s));
   return table;
-}
-
-StatusOr<Table> RunScript(
-    const std::string& sql,
-    const std::function<StatusOr<std::unique_ptr<RowCursor>>(
-        const Statement&)>& run) {
-  HERMES_ASSIGN_OR_RETURN(std::vector<Statement> stmts, ParseScript(sql));
-  if (stmts.empty()) return Status::InvalidArgument("empty script");
-  Table last;
-  for (size_t k = 0; k < stmts.size(); ++k) {
-    auto prefix = [&] { return "statement " + std::to_string(k + 1) + ": "; };
-    if (stmts[k].num_params > 0) {
-      return Status::InvalidArgument(
-          prefix() + "script statements cannot carry $N placeholders");
-    }
-    auto cursor = run(stmts[k]);
-    if (!cursor.ok()) {
-      return Status(cursor.status().code(),
-                    prefix() + cursor.status().message());
-    }
-    auto table = (*cursor)->ToTable();
-    if (!table.ok()) {
-      return Status(table.status().code(),
-                    prefix() + table.status().message());
-    }
-    last = std::move(*table);
-  }
-  return last;
 }
 
 void SwapExecContext(size_t n, std::unique_ptr<exec::ExecContext>* exec,

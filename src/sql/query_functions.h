@@ -1,7 +1,6 @@
 #ifndef HERMES_SQL_QUERY_FUNCTIONS_H_
 #define HERMES_SQL_QUERY_FUNCTIONS_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,8 +17,8 @@
 namespace hermes::sql {
 
 /// \brief Everything a SELECT function evaluation needs, independent of
-/// which frontend issued it — the embedded `sql::Session` or a
-/// `service::ClientSession`.
+/// which `sql::Session` backend — embedded, service, or shard
+/// coordinator — the statement runs on.
 ///
 /// `store` is shared ownership: streaming cursors (`RANGE`,
 /// `S2T_MEMBERS`) capture it, so a service snapshot — and the arena epoch
@@ -35,6 +34,9 @@ struct QueryEnv {
   double default_sigma = 100.0;
   double default_epsilon = 200.0;
   bool use_index = true;
+  /// QUT only: the hot-tier budget (`hermes.hot_index_budget`) applied to
+  /// a tree the session itself owns.
+  size_t hot_index_budget = core::kDefaultHotIndexBudget;
 };
 
 /// Non-owning `QueryEnv::store` handle for embedders whose store outlives
@@ -42,57 +44,14 @@ struct QueryEnv {
 std::shared_ptr<const traj::TrajectoryStore> BorrowStore(
     const traj::TrajectoryStore* store);
 
-/// \brief Executes one parsed statement with its bound `$N` values —
-/// the seam every frontend (embedded `sql::Session`, service
-/// `ClientSession`) exposes so `PreparedStatement` can run against any
-/// of them.
-using StatementRunner =
-    std::function<StatusOr<std::unique_ptr<RowCursor>>(
-        const Statement&, const std::vector<Value>&)>;
-
-/// \brief A parsed-once, execute-many statement handle.
-///
-/// `Prepare` (on either frontend) tokenizes and parses a statement with
-/// `$N` placeholders exactly once; `Bind` supplies typed values and
-/// `Execute` / `ExecuteCursor` run the cached parse tree through the
-/// owning frontend's `StatementRunner` — so maintenance loops, benches,
-/// and the wire protocol's BIND+EXECUTE fast path re-executing the same
-/// shape pay no per-call parsing. Bindings persist across executions;
-/// re-`Bind` to change one. The handle must not outlive the frontend the
-/// runner captures.
-class PreparedStatement {
- public:
-  PreparedStatement(Statement stmt, StatementRunner run);
-
-  /// Binds the 1-based placeholder `$index`. Fails with `InvalidArgument`
-  /// when `index` is outside [1, num_params()].
-  Status Bind(int index, Value v);
-
-  /// Executes with the current bindings; every placeholder must be bound.
-  StatusOr<Table> Execute();
-
-  /// Cursor-returning flavor (see `Session::ExecuteCursor`).
-  StatusOr<std::unique_ptr<RowCursor>> ExecuteCursor();
-
-  /// Number of distinct `$N` placeholders (the highest N).
-  int num_params() const { return stmt_.num_params; }
-
- private:
-  Statement stmt_;
-  StatementRunner run_;
-  std::vector<Value> binds_;   ///< Slot i holds the value of `$(i+1)`.
-  std::vector<bool> bound_;
-};
-
 /// Resolves the MOD a SELECT targets: the statement's literal name, or —
 /// when the MOD position was a `$N` placeholder — the canonicalized
-/// string it was bound to. Shared by both frontends so a prepared
-/// `SELECT RANGE($1, ...)` behaves identically embedded and served.
+/// string it was bound to.
 StatusOr<std::string> ResolveSelectModName(const Statement& stmt,
                                            const std::vector<Value>& binds);
 
 /// Canonical (ASCII upper-case) MOD name — the one catalog key rule the
-/// embedded session's map and the service server's catalog both follow.
+/// embedded catalog and the service server's catalog both follow.
 std::string CanonicalModName(const std::string& name);
 
 /// True when `EvalSelectFunction` implements `function`.
@@ -101,7 +60,7 @@ bool IsSelectFunction(const std::string& function);
 /// \brief Evaluates one SELECT function — STATS / RANGE / S2T /
 /// S2T_MEMBERS / TRACLUS / TOPTICS / CONVOYS — against `env`. `at` is the
 /// error-location suffix anchored at the function token. `QUT` is *not*
-/// handled here: it needs ReTraTree ownership, which each frontend
+/// handled here: it needs ReTraTree ownership, which each session backend
 /// manages itself (see `QutQuery`).
 StatusOr<std::unique_ptr<RowCursor>> EvalSelectFunction(
     const std::string& function, const std::vector<double>& args,
@@ -116,8 +75,9 @@ StatusOr<std::unique_ptr<RowCursor>> QutQuery(core::ReTraTree* tree,
 /// Maps the SQL `QUT(D, Wi, We, tau, delta, t, d, gamma)` tail — the 5
 /// tree parameters — onto `ReTraTreeParams`, including the
 /// sigma = epsilon = d convention for the buffer re-clustering runs.
-/// One definition so the embedded session and the service server cannot
-/// build differently-parameterized trees for the same statement.
+/// One definition so the embedded catalog, the service server, and the
+/// shard coordinator cannot build differently-parameterized trees for the
+/// same statement.
 core::ReTraTreeParams MakeQutTreeParams(const std::vector<double>& tree_params);
 
 /// Evaluates the rows of an INSERT statement into one trajectory per
@@ -125,6 +85,13 @@ core::ReTraTreeParams MakeQutTreeParams(const std::vector<double>& tree_params);
 /// resolving `$N` binds.
 StatusOr<std::vector<traj::Trajectory>> BuildInsertTrajectories(
     const Statement& stmt, const std::vector<Value>& binds);
+
+/// Resolves an INSERT row's object-id cell: a finite integer in
+/// [0, 2^53] (every such id is exact as a double). Anything else — NaN,
+/// infinities, negatives, fractions, larger magnitudes — is an
+/// `InvalidArgument` carrying the cell's error location.
+StatusOr<traj::ObjectId> EvalObjectId(const ScalarExpr& e,
+                                      const std::vector<Value>& binds);
 
 /// Resolves a scalar: the literal itself, or the bound value of `$N`.
 StatusOr<Value> EvalScalar(const ScalarExpr& e,
@@ -146,8 +113,8 @@ Table PhaseStatsTable(const exec::ExecStats& session_stats,
                       const exec::ExecContext* exec);
 
 /// Folds `s` into `total` field-by-field — `SHOW STATS` aggregates the
-/// hot-tier counters across every built ReTraTree (one per MOD here, one
-/// per shared MOD in the service catalog).
+/// hot-tier counters across every built ReTraTree of the embedded
+/// catalog.
 void AccumulateHotTierStats(const core::HotTierStats& s,
                             core::HotTierStats* total);
 
@@ -161,15 +128,7 @@ void AppendHotTierRows(const core::HotTierStats& tier, Table* table);
 StatusOr<Table> SettingsShowTable(const Settings& settings,
                                   const Statement& stmt);
 
-/// The ';'-script loop shared by both frontends: parses, rejects `$N`
-/// placeholders, executes each statement via `run`, prefixes errors with
-/// `statement k:`, and returns the last statement's table.
-StatusOr<Table> RunScript(
-    const std::string& sql,
-    const std::function<StatusOr<std::unique_ptr<RowCursor>>(
-        const Statement&)>& run);
-
-/// The shared `hermes.threads` on-change reaction: folds the retiring
+/// The session's `hermes.threads` on-change reaction: folds the retiring
 /// context's phase timings into `archive` (so SHOW STATS keeps
 /// accumulating) and swaps in a fresh context — nullptr when `n == 1`,
 /// since a sequential session needs no pool.

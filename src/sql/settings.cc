@@ -25,6 +25,8 @@ Status Settings::Register(std::string name, Value default_value,
   if (settings_.count(key) > 0) {
     return Status::AlreadyExists("setting " + key + " already registered");
   }
+  // A default outside the setting's own domain is a configuration error.
+  if (validate) HERMES_RETURN_NOT_OK(validate(default_value));
   Setting s;
   s.name = key;
   s.description = std::move(description);
@@ -90,7 +92,10 @@ StatusOr<Value> Settings::Get(const std::string& name) const {
 }
 
 const Settings::Setting* Settings::Find(const std::string& name) const {
-  auto it = settings_.find(Canonical(name));
+  // Callers on the statement path pass canonical names: look those up
+  // without building a lower-cased copy.
+  auto it = settings_.find(name);
+  if (it == settings_.end()) it = settings_.find(Canonical(name));
   return it == settings_.end() ? nullptr : &it->second;
 }
 

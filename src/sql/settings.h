@@ -45,7 +45,8 @@ class Settings {
   };
 
   /// Registers a setting at its default. Fails with `AlreadyExists` on a
-  /// duplicate name and `InvalidArgument` on a null default.
+  /// duplicate name, `InvalidArgument` on a null default, and with
+  /// `validate`'s status when the default is outside its domain.
   Status Register(std::string name, Value default_value,
                   std::string description, Validator validate = nullptr,
                   OnChange on_change = nullptr);
@@ -86,12 +87,13 @@ struct HermesSettingDefaults {
 };
 
 /// \brief Registers the standard `hermes.*` knobs (threads / sigma /
-/// epsilon / use_index) into `settings` with the shared validators.
+/// epsilon / use_index / hot_index_budget) into `settings` with their
+/// validators — the one definition of their domains. Fails when a
+/// default is outside its domain (`ValidateServerOptions` relies on it).
 ///
-/// Every owner — the embedded `sql::Session` and each
-/// `service::ClientSession` — registers into its *own* `Settings`
-/// instance: settings are session-scoped state, never process-global, so
-/// two sessions with different `hermes.threads` or bandwidths cannot
+/// Every `sql::Session` registers into its *own* `Settings` instance:
+/// settings are session-scoped state, never process-global, so two
+/// sessions with different `hermes.threads` or bandwidths cannot
 /// interfere. `on_threads_change` (optional) fires after `hermes.threads`
 /// passes validation, letting the owner swap its `ExecContext`.
 Status RegisterHermesSettings(Settings* settings,

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "sql/executor.h"
-
 namespace hermes::sql {
 
 StatusOr<std::unique_ptr<RowCursor>> StatementExecutor::ExecuteCursor(
@@ -20,66 +18,6 @@ Status StatementExecutor::Flush() {
   HERMES_ASSIGN_OR_RETURN(Table ack, Execute("FLUSH;"));
   (void)ack;
   return Status::OK();
-}
-
-StatusOr<PreparedHandle> PreparedStatementMapExecutor::Prepare(
-    const std::string& sql) {
-  HERMES_ASSIGN_OR_RETURN(PreparedStatement ps, PrepareStatement(sql));
-  const uint32_t id = next_id_++;
-  PreparedHandle handle{id, ps.num_params()};
-  prepared_.emplace(id, std::move(ps));
-  return handle;
-}
-
-StatusOr<Table> PreparedStatementMapExecutor::BindExecute(
-    uint32_t id, const std::vector<Value>& binds) {
-  auto it = prepared_.find(id);
-  if (it == prepared_.end()) {
-    return Status::NotFound("no prepared statement with id " +
-                            std::to_string(id));
-  }
-  for (size_t i = 0; i < binds.size(); ++i) {
-    HERMES_RETURN_NOT_OK(it->second.Bind(static_cast<int>(i) + 1, binds[i]));
-  }
-  return it->second.Execute();
-}
-
-Status PreparedStatementMapExecutor::ClosePrepared(uint32_t id) {
-  prepared_.erase(id);
-  return Status::OK();
-}
-
-namespace {
-
-/// The embedded backend: statements run synchronously in-process, so
-/// FLUSH's default (execute the statement, discard the ack) is exact.
-class SessionExecutor final : public PreparedStatementMapExecutor {
- public:
-  explicit SessionExecutor(Session* session) : session_(session) {}
-
-  StatusOr<Table> Execute(const std::string& sql) override {
-    return session_->Execute(sql);
-  }
-
-  StatusOr<std::unique_ptr<RowCursor>> ExecuteCursor(
-      const std::string& sql) override {
-    return session_->ExecuteCursor(sql);
-  }
-
- protected:
-  StatusOr<PreparedStatement> PrepareStatement(
-      const std::string& sql) override {
-    return session_->Prepare(sql);
-  }
-
- private:
-  Session* session_;
-};
-
-}  // namespace
-
-std::unique_ptr<StatementExecutor> MakeSessionExecutor(Session* session) {
-  return std::make_unique<SessionExecutor>(session);
 }
 
 }  // namespace hermes::sql

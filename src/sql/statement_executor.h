@@ -2,7 +2,6 @@
 #define HERMES_SQL_STATEMENT_EXECUTOR_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,8 +13,6 @@
 
 namespace hermes::sql {
 
-class Session;
-
 /// \brief Handle returned by `StatementExecutor::Prepare`: an
 /// executor-scoped statement id plus the statement's `$N` parameter
 /// count. The id is meaningful only to the executor that issued it.
@@ -26,18 +23,18 @@ struct PreparedHandle {
 
 /// \brief The one statement surface every Hermes backend speaks.
 ///
-/// A `StatementExecutor` hides *where* a statement runs: against the
-/// embedded `sql::Session`, an in-process `service::ClientSession`, a
-/// remote server through `net::Client`, or a `shard::Coordinator`
-/// fanning it across shards. Coordinators, examples, benches, and tests
-/// address every backend through this interface, so swapping an
-/// in-process shard for a remote one is a construction-time decision,
-/// not a call-site rewrite.
+/// A `StatementExecutor` hides *where* a statement runs. It has two
+/// implementations: `sql::Session` — the one statement dispatcher, over
+/// the embedded catalog, a `service::Server` connection, or a
+/// `shard::Coordinator` connection fanning statements across shards —
+/// and `net::Client`'s executor for a remote server. Coordinators,
+/// examples, benches, and tests address every backend through this
+/// interface, so swapping an in-process shard for a remote one is a
+/// construction-time decision, not a call-site rewrite.
 ///
 /// Prepared statements are id-keyed (the wire protocol's model): the
 /// executor chooses the id, `BindExecute` binds `$1..$n` positionally
-/// from `binds` and executes. Backends whose native Prepare returns a
-/// `PreparedStatement` adapt through `PreparedStatementMapExecutor`.
+/// from `binds` and executes.
 ///
 /// Thread safety: one executor serves one client thread, exactly like
 /// the sessions it wraps.
@@ -70,30 +67,6 @@ class StatementExecutor {
   /// backends).
   virtual Status Flush();
 };
-
-/// \brief Adapter base for frontends whose native Prepare returns a
-/// `sql::PreparedStatement`: keeps the id -> handle map and implements
-/// the id-keyed `Prepare` / `BindExecute` / `ClosePrepared` on top of
-/// one virtual, `PrepareStatement`.
-class PreparedStatementMapExecutor : public StatementExecutor {
- public:
-  StatusOr<PreparedHandle> Prepare(const std::string& sql) override;
-  StatusOr<Table> BindExecute(uint32_t id,
-                              const std::vector<Value>& binds) override;
-  Status ClosePrepared(uint32_t id) override;
-
- protected:
-  virtual StatusOr<PreparedStatement> PrepareStatement(
-      const std::string& sql) = 0;
-
- private:
-  std::map<uint32_t, PreparedStatement> prepared_;
-  uint32_t next_id_ = 1;
-};
-
-/// Wraps the embedded `sql::Session` (non-owning; the session must
-/// outlive the executor and every cursor it returned).
-std::unique_ptr<StatementExecutor> MakeSessionExecutor(Session* session);
 
 }  // namespace hermes::sql
 

@@ -4,7 +4,7 @@
 // The headline test is the PR's acceptance criterion: socket clients —
 // including pipelined and prepared ($N) statements — receive responses
 // *bit-identical* to the same statements through an in-process
-// `ClientSession`. The file also tortures the framing layer (malformed
+// service session. The file also tortures the framing layer (malformed
 // frames, oversize frames, a deliberately dribbling client writing a few
 // bytes at a time) and runs under the TSan CI leg, making it the
 // data-race gate for the loop/worker seam.
@@ -297,7 +297,7 @@ TEST(NetServerTest, PreparedStatementsMatchEmbeddedSession) {
   // turn must match the embedded sql::Session path — covered by
   // service_test's regression test).
   auto session = rig.server->Connect();
-  auto ref = session->Prepare("SELECT RANGE($1, $2, $3);");
+  auto ref = session->PrepareStatement("SELECT RANGE($1, $2, $3);");
   ASSERT_TRUE(ref.ok());
   ASSERT_TRUE(ref->Bind(1, Value::Str("ships")).ok());
   ASSERT_TRUE(ref->Bind(2, Value::Double(0)).ok());

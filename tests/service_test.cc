@@ -487,7 +487,7 @@ TEST(ServiceTest, ShutdownRejectsLaterInsertsButKeepsQueries) {
 // ---------------------------------------------------------------------------
 
 /// Regression for the old hard-rejection of `$N` statements in service
-/// sessions: Prepare/Bind/Execute through a ClientSession must match the
+/// sessions: Prepare/Bind/Execute through a service session must match the
 /// embedded sql::Session bit-for-bit — typed cells, not rendered text.
 TEST(ServiceTest, PreparedStatementsMatchEmbeddedSessionBitForBit) {
   const traj::TrajectoryStore ships = MakeShips(8);
@@ -527,8 +527,8 @@ TEST(ServiceTest, PreparedStatementsMatchEmbeddedSessionBitForBit) {
        {Value::Double(100.0), Value::Double(200.0)}},
   };
   for (const auto& [stmt, extra] : cases) {
-    auto e = embedded.Prepare(stmt);
-    auto s = session->Prepare(stmt);
+    auto e = embedded.PrepareStatement(stmt);
+    auto s = session->PrepareStatement(stmt);
     ASSERT_TRUE(e.ok()) << stmt;
     ASSERT_TRUE(s.ok()) << stmt;
     EXPECT_EQ(e->num_params(), s->num_params());
@@ -558,8 +558,8 @@ TEST(ServiceTest, PreparedStatementsMatchEmbeddedSessionBitForBit) {
   ASSERT_FALSE(edirect.ok());
 
   // Unbound parameter and bad MOD-bind type fail identically.
-  auto e_hole = embedded.Prepare("SELECT STATS($1);");
-  auto s_hole = session->Prepare("SELECT STATS($1);");
+  auto e_hole = embedded.PrepareStatement("SELECT STATS($1);");
+  auto s_hole = session->PrepareStatement("SELECT STATS($1);");
   ASSERT_TRUE(e_hole.ok());
   ASSERT_TRUE(s_hole.ok());
   EXPECT_EQ(e_hole->Execute().status().message(),
@@ -571,9 +571,9 @@ TEST(ServiceTest, PreparedStatementsMatchEmbeddedSessionBitForBit) {
 
   // INSERT with $N binds: queued through the service, applied by FLUSH,
   // and visible with the same STATS as the embedded synchronous insert.
-  auto e_ins = embedded.Prepare(
+  auto e_ins = embedded.PrepareStatement(
       "INSERT INTO ships VALUES ($1, 0, 0, 0), ($1, 300, 50, 50);");
-  auto s_ins = session->Prepare(
+  auto s_ins = session->PrepareStatement(
       "INSERT INTO ships VALUES ($1, 0, 0, 0), ($1, 300, 50, 50);");
   ASSERT_TRUE(e_ins.ok());
   ASSERT_TRUE(s_ins.ok());

@@ -530,12 +530,12 @@ TEST(StatementExecutorParityTest, EmbeddedServiceCoordinatorAndWireAgree) {
   const auto suite = QuerySuite("ships", store);
 
   // Embedded session.
-  sql::Session session;
+  auto session = std::make_unique<sql::Session>();
   {
     traj::TrajectoryStore copy = store;
-    ASSERT_TRUE(session.RegisterStore("ships", std::move(copy)).ok());
+    ASSERT_TRUE(session->RegisterStore("ships", std::move(copy)).ok());
   }
-  auto embedded = sql::MakeSessionExecutor(&session);
+  std::unique_ptr<sql::StatementExecutor> embedded = std::move(session);
   const auto want = RunSuite(embedded.get(), suite);
 
   // Service session.
@@ -583,6 +583,52 @@ TEST(StatementExecutorParityTest, EmbeddedServiceCoordinatorAndWireAgree) {
     EXPECT_FALSE(db->BindExecute(prepared->id, {Value::Double(t0),
                                                 Value::Double(t1)})
                      .ok());
+  }
+
+  // The non-SELECT surface and the error paths agree too: same status
+  // code and message everywhere, same table where a statement succeeds.
+  // (By design the INSERT ack shape, SHOW SERVICE STATS, CHECKPOINT, and
+  // the coordinator's `shard k:` prefix on routed-INSERT shard errors
+  // differ, so they are not compared here.)
+  const std::vector<std::string> surface = {
+      "SET hermes.sigma = 150;",
+      "SET hermes.sigma = -1;",
+      "SHOW hermes.sigma;",
+      "SHOW ALL;",
+      "SHOW hermes.nope;",
+      "SET hermes.nope = 1;",
+      "SELECT STATS(nowhere);",
+      "SELECT RANGE(ships, 0);",
+      "SELECT QUT(ships, 0, 1);",
+      "INSERT INTO ships VALUES (-1, 0, 0, 0), (-1, 10, 5, 5);",
+  };
+  auto run_surface = [&](sql::StatementExecutor* db) {
+    std::vector<StatusOr<Table>> out;
+    for (const auto& q : surface) out.push_back(db->Execute(q));
+    auto cursor = db->ExecuteCursor("SELECT STATS($1);");
+    out.push_back(cursor.ok() ? (*cursor)->ToTable()
+                              : StatusOr<Table>(cursor.status()));
+    return out;
+  };
+  const auto want_surface = run_surface(embedded.get());
+  EXPECT_FALSE(want_surface.back().ok());
+  for (auto* db : {service_db.get(), coord_db.get(), wire_db.get()}) {
+    const auto got = run_surface(db);
+    for (size_t q = 0; q < got.size(); ++q) {
+      const std::string label =
+          q < surface.size() ? surface[q] : "cursor SELECT STATS($1)";
+      ASSERT_EQ(want_surface[q].ok(), got[q].ok())
+          << label << ": " << got[q].status().ToString();
+      if (got[q].ok()) {
+        ExpectTablesEqual(*want_surface[q], *got[q], label);
+      } else {
+        EXPECT_EQ(want_surface[q].status().code(), got[q].status().code())
+            << label;
+        EXPECT_EQ(want_surface[q].status().message(),
+                  got[q].status().message())
+            << label;
+      }
+    }
   }
 
   net->Shutdown();

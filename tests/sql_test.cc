@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "datagen/noise.h"
 #include "sql/cursor.h"
@@ -375,6 +376,69 @@ TEST_F(SqlSessionTest, CreateInsertStats) {
   EXPECT_EQ(stats->rows[0][1], Value::Int(4));  // Points.
   EXPECT_EQ(stats->columns[3].type, ValueType::kDouble);
   EXPECT_EQ(stats->rows[0][4], Value::Double(10.0));  // t_max.
+}
+
+// Object ids are integers in [0, 2^53]. A cell outside that domain is an
+// InvalidArgument at the cell, and the statement inserts nothing.
+class InsertObjectIdTest : public SqlSessionTest {
+ protected:
+  void SetUp() override { ASSERT_TRUE(session_.Execute("CREATE MOD m;").ok()); }
+
+  void ExpectRejected(const std::string& id) {
+    auto r = session_.Execute("INSERT INTO m VALUES (" + id +
+                              ", 0, 0, 0), (" + id + ", 10, 5, 5);");
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find("object id must be an integer"),
+              std::string::npos)
+        << r.status().message();
+    EXPECT_NE(r.status().message().find("at position 22 near '" + id + "'"),
+              std::string::npos)
+        << r.status().message();
+    ExpectEmpty();
+  }
+
+  void ExpectEmpty() {
+    auto stats = session_.Execute("SELECT STATS(m);");
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->rows[0][0], Value::Int(0));
+  }
+};
+
+TEST_F(InsertObjectIdTest, NegativeIdRejected) { ExpectRejected("-1"); }
+
+TEST_F(InsertObjectIdTest, FractionalIdRejected) { ExpectRejected("1.5"); }
+
+TEST_F(InsertObjectIdTest, IdBeyondTwoToThe53Rejected) {
+  ExpectRejected("1e30");
+}
+
+TEST_F(InsertObjectIdTest, NanBindRejected) {
+  auto insert =
+      session_.PrepareStatement("INSERT INTO m VALUES ($1, 0, 0, 0);");
+  ASSERT_TRUE(insert.ok());
+  ASSERT_TRUE(
+      insert->Bind(1, Value::Double(std::numeric_limits<double>::quiet_NaN()))
+          .ok());
+  const Status status = insert->Execute().status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("at position 22 near '$1'"),
+            std::string::npos)
+      << status.message();
+  ExpectEmpty();
+}
+
+TEST_F(InsertObjectIdTest, DomainEndsAreAccepted) {
+  ASSERT_TRUE(session_
+                  .Execute("INSERT INTO m VALUES (0, 0, 0, 0), (0, 10, 5, 5), "
+                           "(9007199254740992, 0, 0, 0), "
+                           "(9007199254740992, 10, 5, 5);")
+                  .ok());
+  auto range = session_.Execute("SELECT RANGE(m, 0, 10);");
+  ASSERT_TRUE(range.ok());
+  ASSERT_EQ(range->rows.size(), 2u);
+  EXPECT_EQ(range->rows[0][0], Value::Int(0));
+  EXPECT_EQ(range->rows[1][0], Value::Int(int64_t{1} << 53));
 }
 
 TEST_F(SqlSessionTest, DuplicateCreateFails) {
@@ -888,7 +952,7 @@ TEST_F(SqlSessionTest, PreparedRangeExecutesWithBoundValues) {
                   .Execute("INSERT INTO d VALUES (1, 0, 0, 0), (1, 100, 10, "
                            "0), (2, 500, 0, 0), (2, 600, 10, 0);")
                   .ok());
-  auto prepared = session_.Prepare("SELECT RANGE(d, $1, $2);");
+  auto prepared = session_.PrepareStatement("SELECT RANGE(d, $1, $2);");
   ASSERT_TRUE(prepared.ok());
   EXPECT_EQ(prepared->num_params(), 2);
 
@@ -915,7 +979,7 @@ TEST_F(SqlSessionTest, PreparedRangeWithModPlaceholder) {
                   .ok());
   // The MOD position itself is a placeholder: the acceptance shape
   // `SELECT RANGE($1, $2, $3)` from the issue.
-  auto prepared = session_.Prepare("SELECT RANGE($1, $2, $3);");
+  auto prepared = session_.PrepareStatement("SELECT RANGE($1, $2, $3);");
   ASSERT_TRUE(prepared.ok());
   EXPECT_EQ(prepared->num_params(), 3);
   ASSERT_TRUE(prepared->Bind(1, Value::Str("d")).ok());
@@ -935,7 +999,7 @@ TEST_F(SqlSessionTest, PreparedRangeWithModPlaceholder) {
 
 TEST_F(SqlSessionTest, PreparedBindingErrors) {
   ASSERT_TRUE(session_.Execute("CREATE MOD d;").ok());
-  auto prepared = session_.Prepare("SELECT RANGE(d, $1, $2);");
+  auto prepared = session_.PrepareStatement("SELECT RANGE(d, $1, $2);");
   ASSERT_TRUE(prepared.ok());
   EXPECT_TRUE(prepared->Bind(0, Value::Int(1)).IsInvalidArgument());
   EXPECT_TRUE(prepared->Bind(3, Value::Int(1)).IsInvalidArgument());
@@ -951,7 +1015,8 @@ TEST_F(SqlSessionTest, PreparedBindingErrors) {
 
 TEST_F(SqlSessionTest, PreparedInsertReusedByMaintenanceLoop) {
   ASSERT_TRUE(session_.Execute("CREATE MOD d;").ok());
-  auto insert = session_.Prepare("INSERT INTO d VALUES ($1, $2, $3, $4);");
+  auto insert =
+      session_.PrepareStatement("INSERT INTO d VALUES ($1, $2, $3, $4);");
   ASSERT_TRUE(insert.ok());
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(insert->Bind(1, Value::Int(100 + i)).ok());
@@ -968,7 +1033,7 @@ TEST_F(SqlSessionTest, PreparedInsertReusedByMaintenanceLoop) {
 }
 
 TEST_F(SqlSessionTest, PreparedSetStatement) {
-  auto set = session_.Prepare("SET hermes.threads = $1;");
+  auto set = session_.PrepareStatement("SET hermes.threads = $1;");
   ASSERT_TRUE(set.ok());
   ASSERT_TRUE(set->Bind(1, Value::Int(2)).ok());
   ASSERT_TRUE(set->Execute().ok());
