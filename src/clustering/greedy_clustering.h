@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "exec/exec_context.h"
 #include "traj/sub_trajectory.h"
 
 namespace hermes::clustering {
@@ -36,11 +37,20 @@ struct ClusteringResult {
 
 /// \brief Builds clusters "around" the representatives: every non-selected
 /// sub-trajectory joins the representative with the smallest time-aware
-/// distance if that distance is <= epsilon; otherwise it is an outlier.
+/// distance if that distance is <= epsilon (the first such representative
+/// on ties); otherwise it is an outlier.
+///
+/// Pairs that cannot decide membership are skipped before any distance is
+/// integrated, without changing the result: a pair whose overlap ratio is
+/// below `min_overlap_ratio` (its distance is +inf), and a pair whose 2-D
+/// bounding boxes lie farther apart than epsilon (its average separation
+/// is at least that gap). Sub-trajectories are assigned in parallel over
+/// `ctx` by fixed index chunks; members and outliers are listed in index
+/// order, so the result does not depend on the thread count.
 ClusteringResult ClusterAroundRepresentatives(
     const std::vector<traj::SubTrajectory>& subs,
     const std::vector<size_t>& representative_indices,
-    const ClusteringParams& params);
+    const ClusteringParams& params, exec::ExecContext* ctx = nullptr);
 
 }  // namespace hermes::clustering
 

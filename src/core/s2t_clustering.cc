@@ -69,7 +69,8 @@ StatusOr<S2TResult> S2TClustering::Run(const traj::TrajectoryStore& store,
   // Phase 2b: greedy clustering + outlier isolation.
   t0 = NowUs();
   result.clustering = clustering::ClusterAroundRepresentatives(
-      result.sub_trajectories, result.representatives, params_.clustering);
+      result.sub_trajectories, result.representatives, params_.clustering,
+      ctx);
   result.timings.clustering_us = NowUs() - t0;
 
   if (ctx != nullptr) result.timings.ExportTo(&ctx->stats());

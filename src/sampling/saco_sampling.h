@@ -29,6 +29,15 @@ struct SamplingParams {
 /// trajectories ... which would cover the 3D space occupied by the entire
 /// dataset as much as possible".
 ///
+/// The selection is lazy (CELF): coverage only grows, so a gain computed
+/// against the first picks bounds every later gain from above. Candidates
+/// wait in a max-heap on (bound desc, index asc); the top one is brought
+/// up to date against the picks made since its bound was computed, and is
+/// chosen once its bound is current. This picks exactly what a full scan
+/// of all gains after every pick would (ties to the lowest index), with
+/// far fewer similarity evaluations. A candidate whose similarity to a
+/// pick reaches 1 is never chosen.
+///
 /// Returns indices into `subs`, in selection order.
 std::vector<size_t> SelectRepresentatives(
     const std::vector<traj::SubTrajectory>& subs, const SamplingParams& params);

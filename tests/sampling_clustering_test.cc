@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "clustering/greedy_clustering.h"
+#include "core/s2t_clustering.h"
+#include "datagen/aircraft.h"
+#include "datagen/maritime.h"
+#include "datagen/urban.h"
+#include "exec/exec_context.h"
+#include "reference_phase2.h"
 #include "sampling/saco_sampling.h"
 
 namespace hermes {
@@ -99,6 +106,72 @@ TEST(SamplingTest, ZeroVotingNeverSelected) {
   EXPECT_TRUE(SelectRepresentatives(subs, DefaultSampling()).empty());
 }
 
+TEST(SamplingTest, EqualScoresPickLowestIndexFirst) {
+  // Equal base scores, pairwise dissimilar: every round is a tie, which
+  // must go to the lowest remaining index.
+  std::vector<traj::SubTrajectory> subs;
+  for (int i = 0; i < 6; ++i) subs.push_back(Sub(i, i * 9000.0, 0, 100, 3.0));
+  SamplingParams p = DefaultSampling();
+  p.max_representatives = 4;
+  const std::vector<size_t> want = {0, 1, 2, 3};
+  EXPECT_EQ(SelectRepresentatives(subs, p), want);
+  EXPECT_EQ(reference::SelectRepresentatives(subs, p), want);
+}
+
+TEST(SamplingTest, ExactDuplicateNeverChosen) {
+  std::vector<traj::SubTrajectory> subs;
+  subs.push_back(Sub(0, 0, 0, 100, 9.0));
+  subs.push_back(Sub(1, 0, 0, 100, 8.0));  // Same movement as 0.
+  subs.push_back(Sub(2, 9000, 0, 100, 1.0));
+  SamplingParams p = DefaultSampling();
+  p.gain_stop_ratio = 0.0;
+  ASSERT_EQ(traj::TimeAwareSimilarity(subs[1].points, subs[0].points,
+                                      p.sigma, p.min_overlap_ratio),
+            1.0);
+  const std::vector<size_t> want = {0, 2};
+  EXPECT_EQ(SelectRepresentatives(subs, p), want);
+  EXPECT_EQ(reference::SelectRepresentatives(subs, p), want);
+}
+
+TEST(SamplingTest, GainStopFiresAtTheSamePick) {
+  // Overlapping lanes of falling score: coverage lowers later gains, and
+  // the stop must cut the same prefix as the eager scan at every ratio.
+  std::vector<traj::SubTrajectory> subs;
+  const double votes[] = {10.0, 9.5, 6.0, 5.0, 2.0, 1.2, 0.6, 0.3};
+  for (int i = 0; i < 8; ++i) {
+    subs.push_back(Sub(i, i * 35.0, 0, 100, votes[i]));
+  }
+  for (double ratio : {0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 0.95}) {
+    SamplingParams p = DefaultSampling();
+    p.gain_stop_ratio = ratio;
+    EXPECT_EQ(SelectRepresentatives(subs, p),
+              reference::SelectRepresentatives(subs, p))
+        << "gain_stop_ratio " << ratio;
+  }
+  // With no stop every piece is picked; at 10% the fifth pick stops.
+  SamplingParams p = DefaultSampling();
+  p.gain_stop_ratio = 0.0;
+  EXPECT_EQ(SelectRepresentatives(subs, p).size(), subs.size());
+  p.gain_stop_ratio = 0.1;
+  EXPECT_EQ(SelectRepresentatives(subs, p).size(), 4u);
+}
+
+TEST(SamplingTest, MaxRepresentativesHonouredUnderCoverage) {
+  std::vector<traj::SubTrajectory> subs;
+  for (int i = 0; i < 30; ++i) {
+    subs.push_back(Sub(i, (i % 7) * 40.0 + i, i % 3 * 10.0, 100, 1.0 + i % 5));
+  }
+  for (size_t max_reps : {1u, 3u, 8u, 40u}) {
+    SamplingParams p = DefaultSampling();
+    p.max_representatives = max_reps;
+    p.gain_stop_ratio = 0.0;
+    const auto reps = SelectRepresentatives(subs, p);
+    EXPECT_LE(reps.size(), max_reps);
+    EXPECT_EQ(reps, reference::SelectRepresentatives(subs, p))
+        << "max_representatives " << max_reps;
+  }
+}
+
 TEST(SamplingTest, BaseScoreWeighsVotingAndDuration) {
   const auto short_hot = Sub(0, 0, 0, 10, 8.0);
   const auto long_warm = Sub(1, 0, 0, 100, 2.0);
@@ -179,6 +252,41 @@ TEST(ClusteringTest, AssignmentAndTotalsConsistent) {
   EXPECT_EQ(assigned, result.TotalMembers());
 }
 
+TEST(ClusteringTest, MemberAtExactlyEpsilonJoins) {
+  // The 2-D boxes are exactly epsilon apart: the box-gap skip must not
+  // drop a pair whose distance equals epsilon.
+  std::vector<traj::SubTrajectory> subs;
+  subs.push_back(Sub(0, 0, 0, 100, 5.0));
+  subs.push_back(Sub(1, 100, 0, 100, 1.0));
+  ClusteringParams p{/*epsilon=*/100.0, 0.5};
+  ASSERT_EQ(traj::ClusteringDistance(subs[1].points, subs[0].points, 0.5),
+            100.0);
+  const auto result = ClusterAroundRepresentatives(subs, {0}, p);
+  EXPECT_TRUE(result.outliers.empty());
+  EXPECT_EQ(result.clusters[0].members, (std::vector<size_t>{0, 1}));
+}
+
+TEST(ClusteringTest, SameResultAtAnyThreadCount) {
+  std::vector<traj::SubTrajectory> subs;
+  for (int i = 0; i < 300; ++i) {
+    subs.push_back(
+        Sub(i, (i % 5) * 300.0 + (i / 5) * 3.0, (i % 4) * 20.0, 100, 1.0));
+  }
+  ClusteringParams p{150.0, 0.5};
+  const std::vector<size_t> reps = {0, 1, 2, 3, 4};
+  const auto want = reference::ClusterAroundRepresentatives(subs, reps, p);
+  for (size_t threads : {1u, 2u, 4u, 7u}) {
+    exec::ExecContext ctx(threads);
+    const auto got = ClusterAroundRepresentatives(subs, reps, p, &ctx);
+    ASSERT_EQ(got.clusters.size(), want.clusters.size());
+    for (size_t c = 0; c < got.clusters.size(); ++c) {
+      EXPECT_EQ(got.clusters[c].members, want.clusters[c].members)
+          << "threads " << threads << " cluster " << c;
+    }
+    EXPECT_EQ(got.outliers, want.outliers) << "threads " << threads;
+  }
+}
+
 // Epsilon sweep: more permissive epsilon never creates more outliers.
 class EpsilonSweep : public ::testing::TestWithParam<double> {};
 
@@ -196,6 +304,131 @@ TEST_P(EpsilonSweep, OutliersMonotoneInEpsilon) {
 
 INSTANTIATE_TEST_SUITE_P(Epsilons, EpsilonSweep,
                          ::testing::Values(20.0, 50.0, 120.0, 250.0));
+
+// ---------------------------------------------------------------------------
+// Oracle: the pruned phase 2 against the reference copies
+// ---------------------------------------------------------------------------
+
+struct OracleScenario {
+  std::string name;
+  traj::TrajectoryStore store;
+  double sigma;
+  double epsilon;
+};
+
+std::vector<OracleScenario> OracleScenarios() {
+  std::vector<OracleScenario> out;
+  {
+    datagen::AircraftScenarioParams p =
+        datagen::AircraftScenarioParams::Default();
+    p.num_flights = 40;
+    p.sample_dt = 20.0;
+    p.seed = 21;
+    auto s = datagen::GenerateAircraftScenario(p);
+    EXPECT_TRUE(s.ok());
+    out.push_back({"aircraft", std::move(s->store), 1500.0, 3000.0});
+  }
+  {
+    datagen::MaritimeScenarioParams p;
+    p.num_ships = 24;
+    p.sample_dt = 300.0;
+    p.seed = 22;
+    auto s = datagen::GenerateMaritimeScenario(p);
+    EXPECT_TRUE(s.ok());
+    out.push_back({"maritime", std::move(s->store), 800.0, 1600.0});
+  }
+  {
+    datagen::UrbanScenarioParams p;
+    p.num_vehicles = 30;
+    p.sample_dt = 20.0;
+    p.seed = 23;
+    auto s = datagen::GenerateUrbanScenario(p);
+    EXPECT_TRUE(s.ok());
+    out.push_back({"urban", std::move(s->store), 120.0, 240.0});
+  }
+  return out;
+}
+
+void ExpectSameClustering(const clustering::ClusteringResult& got,
+                          const clustering::ClusteringResult& want,
+                          const std::string& where) {
+  ASSERT_EQ(got.clusters.size(), want.clusters.size()) << where;
+  for (size_t c = 0; c < got.clusters.size(); ++c) {
+    EXPECT_EQ(got.clusters[c].representative, want.clusters[c].representative)
+        << where << " cluster " << c;
+    EXPECT_EQ(got.clusters[c].members, want.clusters[c].members)
+        << where << " cluster " << c;
+  }
+  EXPECT_EQ(got.outliers, want.outliers) << where;
+}
+
+TEST(Phase2OracleTest, PrunedPipelineMatchesReference) {
+  for (OracleScenario& sc : OracleScenarios()) {
+    core::S2TParams params;
+    params.SetSigma(sc.sigma).SetEpsilon(sc.epsilon);
+    for (size_t threads : {1u, 4u}) {
+      exec::ExecContext ctx(threads);
+      const std::string where =
+          sc.name + " threads " + std::to_string(threads);
+      auto run = core::S2TClustering(params).Run(sc.store, &ctx);
+      ASSERT_TRUE(run.ok()) << where;
+      const auto& subs = run->sub_trajectories;
+      ASSERT_GT(subs.size(), 20u) << where;
+      const auto reps =
+          reference::SelectRepresentatives(subs, params.sampling);
+      EXPECT_EQ(run->representatives, reps) << where;
+      EXPECT_GT(reps.size(), 1u) << where;
+      ExpectSameClustering(
+          run->clustering,
+          reference::ClusterAroundRepresentatives(subs, reps,
+                                                  params.clustering),
+          where);
+
+      // Deeper greedy runs and tighter / looser radii on the same pieces.
+      for (double stop : {0.0, 0.2}) {
+        for (double eps_scale : {0.25, 1.0, 4.0}) {
+          sampling::SamplingParams sp = params.sampling;
+          sp.max_representatives = 64;
+          sp.gain_stop_ratio = stop;
+          clustering::ClusteringParams cp = params.clustering;
+          cp.epsilon *= eps_scale;
+          const std::string w = where + " stop " + std::to_string(stop) +
+                                " eps x" + std::to_string(eps_scale);
+          const auto r = SelectRepresentatives(subs, sp);
+          const auto ref_r = reference::SelectRepresentatives(subs, sp);
+          EXPECT_EQ(r, ref_r) << w;
+          ExpectSameClustering(
+              ClusterAroundRepresentatives(subs, ref_r, cp, &ctx),
+              reference::ClusterAroundRepresentatives(subs, ref_r, cp), w);
+        }
+      }
+    }
+  }
+}
+
+TEST(Phase2OracleTest, EveryPairDistanceMatchesReferenceBitwise) {
+  for (OracleScenario& sc : OracleScenarios()) {
+    core::S2TParams params;
+    params.SetSigma(sc.sigma).SetEpsilon(sc.epsilon);
+    auto run = core::S2TClustering(params).Run(sc.store);
+    ASSERT_TRUE(run.ok()) << sc.name;
+    const auto& subs = run->sub_trajectories;
+    size_t coexisting = 0;
+    size_t mismatches = 0;
+    for (size_t i = 0; i < subs.size(); ++i) {
+      for (size_t j = 0; j < subs.size(); ++j) {
+        const traj::TimeAwareDistance got =
+            traj::ComputeTimeAwareDistance(subs[i], subs[j]);
+        const traj::TimeAwareDistance want =
+            reference::TimeAwareDistance(subs[i].points, subs[j].points);
+        mismatches += !reference::SameBits(got, want);
+        coexisting += got.Coexist();
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << sc.name;
+    EXPECT_GT(coexisting, subs.size()) << sc.name;
+  }
+}
 
 }  // namespace
 }  // namespace hermes

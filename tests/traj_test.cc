@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/rng.h"
+#include "reference_phase2.h"
 #include "traj/distance.h"
 #include "traj/simplify.h"
 #include "traj/sub_trajectory.h"
@@ -355,6 +357,134 @@ TEST(DistanceTest, CloserLanesMoreSimilar) {
   Trajectory far = Line(3, 0, 60, 0, 100, 60, 100, 11);
   EXPECT_GT(TimeAwareSimilarity(a, near, 30.0),
             TimeAwareSimilarity(a, far, 30.0));
+}
+
+// ---------------------------------------------------------------------------
+// Merge-walk kernel against the sort + PositionAt reference
+// ---------------------------------------------------------------------------
+
+/// The kernel and the two scalar wrappers must reproduce the reference
+/// bit for bit, in both argument orders.
+void ExpectMatchesReference(const Trajectory& a, const Trajectory& b) {
+  for (int order = 0; order < 2; ++order) {
+    const Trajectory& x = order == 0 ? a : b;
+    const Trajectory& y = order == 0 ? b : a;
+    EXPECT_TRUE(reference::SameBits(ComputeTimeAwareDistance(x, y),
+                                    reference::TimeAwareDistance(x, y)))
+        << "order " << order;
+    for (double ratio : {0.0, 0.5, 0.9}) {
+      EXPECT_TRUE(reference::SameBits(ClusteringDistance(x, y, ratio),
+                           reference::ClusteringDistance(x, y, ratio)))
+          << "order " << order << " ratio " << ratio;
+      EXPECT_TRUE(reference::SameBits(TimeAwareSimilarity(x, y, 40.0, ratio),
+                           reference::TimeAwareSimilarity(x, y, 40.0, ratio)))
+          << "order " << order << " ratio " << ratio;
+    }
+  }
+}
+
+TEST(DistanceKernelTest, DuplicateSampleTime) {
+  // A zero-duration segment (two samples at t = 5): the cursor must land
+  // on the first of them, as lower_bound does.
+  Trajectory a(1, {{0, 0, 0}, {10, 0, 5}, {12, 3, 5}, {20, 0, 10}});
+  Trajectory b = Line(2, 0, 5, 0, 20, 5, 10, 5);
+  ExpectMatchesReference(a, b);
+  EXPECT_TRUE(ComputeTimeAwareDistance(a, b).Coexist());
+}
+
+TEST(DistanceKernelTest, InteriorSampleWithinToleranceOfStart) {
+  // t0 = 10; a's sample at 10 + 5e-10 is dropped, t0 kept.
+  Trajectory a(1, {{0, 0, 0}, {10, 1, 10 + 5e-10}, {20, 0, 20}});
+  Trajectory b = Line(2, 10, 5, 10, 30, 5, 30, 4);
+  ExpectMatchesReference(a, b);
+}
+
+TEST(DistanceKernelTest, InteriorSampleWithinToleranceOfEnd) {
+  // t1 = 20; a's sample at 20 - 5e-10 is kept and t1 dropped, so the
+  // last elementary interval ends at the sample.
+  Trajectory a(1, {{0, 0, 0}, {10, 1, 20 - 5e-10}, {40, 0, 40}});
+  Trajectory b = Line(2, 0, 5, 0, 30, 5, 20, 5);
+  ExpectMatchesReference(a, b);
+  const TimeOverlap ov =
+      ComputeTimeOverlap(a.StartTime(), a.EndTime(), b.StartTime(),
+                         b.EndTime());
+  EXPECT_DOUBLE_EQ(ov.t1, 20.0);
+}
+
+TEST(DistanceKernelTest, SharedSampleTimes) {
+  Trajectory a = Line(1, 0, 0, 0, 100, 0, 100, 11);    // t = 0, 10, ...
+  Trajectory b = Line(2, 0, 20, 0, 100, 50, 100, 21);  // t = 0, 5, 10, ...
+  ExpectMatchesReference(a, b);
+}
+
+TEST(DistanceKernelTest, TouchingOnlyOverlap) {
+  Trajectory a = Line(1, 0, 0, 0, 100, 0, 50, 6);
+  Trajectory b = Line(2, 100, 0, 50, 200, 0, 100, 6);
+  ExpectMatchesReference(a, b);
+  const TimeAwareDistance d = ComputeTimeAwareDistance(a, b);
+  EXPECT_FALSE(d.Coexist());
+  EXPECT_TRUE(std::isinf(d.avg));
+  EXPECT_DOUBLE_EQ(d.overlap_ratio, 0.0);
+}
+
+TEST(DistanceKernelTest, IdenticalTrajectories) {
+  Trajectory a = Line(1, 0, 0, 0, 80, 40, 60, 13);
+  ExpectMatchesReference(a, a);
+  ExpectMatchesReference(a, Trajectory(2, a.samples()));
+}
+
+TEST(DistanceKernelTest, ShortInputsNeverCoexist) {
+  Trajectory one(1, {{0, 0, 5}});
+  Trajectory b = Line(2, 0, 0, 0, 10, 0, 10, 3);
+  ExpectMatchesReference(one, b);
+  ExpectMatchesReference(Trajectory(3), b);
+}
+
+/// A random polyline: non-decreasing times with occasional duplicate and
+/// near-duplicate (within AlmostEqual) sample times; on a 0.5 s grid when
+/// `grid` is set, so two such polylines share sample times.
+Trajectory RandomPolyline(Rng* rng, ObjectId id, bool grid) {
+  std::vector<geom::Point3D> pts;
+  const size_t n = 1 + rng->NextBelow(12);
+  double t = rng->Uniform(0.0, 60.0);
+  if (grid) t = std::floor(t * 2.0) / 2.0;
+  for (size_t i = 0; i < n; ++i) {
+    pts.push_back({rng->Uniform(-1000.0, 1000.0),
+                   rng->Uniform(-1000.0, 1000.0), t});
+    const double u = rng->NextDouble();
+    if (u < 0.08) {
+      // Duplicate time: a zero-duration segment.
+    } else if (u < 0.16 && !grid) {
+      t += rng->Uniform(0.0, 2e-9);
+    } else {
+      t += grid ? 0.5 * static_cast<double>(1 + rng->NextBelow(20))
+                : rng->Uniform(0.1, 15.0);
+    }
+  }
+  return Trajectory(id, std::move(pts));
+}
+
+TEST(DistanceKernelTest, RandomPairsMatchReferenceBitwise) {
+  Rng rng(20260419);
+  size_t coexisting = 0;
+  for (int k = 0; k < 10000; ++k) {
+    const bool grid = rng.NextBool(0.5);
+    const Trajectory a = RandomPolyline(&rng, 1, grid);
+    const Trajectory b = RandomPolyline(&rng, 2, grid);
+    const TimeAwareDistance got = ComputeTimeAwareDistance(a, b);
+    const TimeAwareDistance want = reference::TimeAwareDistance(a, b);
+    ASSERT_TRUE(reference::SameBits(got, want))
+        << "pair " << k << ": avg " << got.avg << " vs " << want.avg;
+    ASSERT_TRUE(reference::SameBits(ClusteringDistance(a, b, 0.3),
+                         reference::ClusteringDistance(a, b, 0.3)))
+        << "pair " << k;
+    ASSERT_TRUE(reference::SameBits(TimeAwareSimilarity(a, b, 300.0, 0.3),
+                         reference::TimeAwareSimilarity(a, b, 300.0, 0.3)))
+        << "pair " << k;
+    coexisting += got.Coexist();
+  }
+  // The generator must exercise the integral, not only disjoint pairs.
+  EXPECT_GT(coexisting, 3000u);
 }
 
 // ---------------------------------------------------------------------------
